@@ -35,7 +35,9 @@ examples:
 	dune exec examples/video_pipeline.exe
 
 # Record mm and sw, replay each with 1 and 4 shards, and require the
-# reports to be byte-identical (stdout is shard-count-invariant).
+# reports to be byte-identical (stdout is shard-count-invariant). Then
+# replay mm under a registry detector (vc-order) and require its races
+# and query count (stdout from line 2 on) to match sf-order's.
 replay-smoke:
 	dune build bin/racedetect.exe
 	@set -e; for w in mm sw; do \
@@ -43,6 +45,12 @@ replay-smoke:
 	  dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog --shards 1 > /tmp/$$w.s1.out; \
 	  dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog --shards 4 > /tmp/$$w.s4.out; \
 	  diff /tmp/$$w.s1.out /tmp/$$w.s4.out && echo "$$w: 1-shard and 4-shard reports identical"; \
+	  if [ $$w = mm ]; then \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d sf-order | tail -n +2 > /tmp/mm.sf.out; \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order | tail -n +2 > /tmp/mm.vc.out; \
+	    diff /tmp/mm.sf.out /tmp/mm.vc.out && echo "mm: vc-order and sf-order replay reports identical"; \
+	    rm -f /tmp/mm.sf.out /tmp/mm.vc.out; \
+	  fi; \
 	  rm -f /tmp/$$w.sflog /tmp/$$w.s1.out /tmp/$$w.s4.out; \
 	done
 

@@ -299,26 +299,21 @@ let eventlog ~scale ~repeats =
   print_endline "  offline shard scaling (structural pass + sharded checks):";
   List.iter
     (fun (name, path) ->
-      match Sfr_eventlog.Reader.load_file path with
-      | Error e ->
-          Printf.printf "  %-6s unreadable log: %s\n" name
-            (Sfr_eventlog.Log_format.error_to_string e)
-      | Ok log ->
-          let t1 = ref Float.infinity in
-          List.iter
-            (fun shards ->
-              let dt =
-                best (fun () ->
-                    match Sfr_eventlog.Shard_replay.run log ~shards with
-                    | Ok _ -> ()
-                    | Error e ->
-                        failwith (Sfr_eventlog.Replay.error_to_string e))
-              in
-              if shards = 1 then t1 := dt;
-              Printf.printf "  %-6s %2d shard(s): %8.4f s  (%.2fx vs 1)\n%!"
-                name shards dt (!t1 /. dt))
-            [ 1; 2; 4; 8 ];
-          Sys.remove path)
+      let t1 = ref Float.infinity in
+      List.iter
+        (fun shards ->
+          let dt =
+            best (fun () ->
+                let open Sfr_eventlog.Stream_replay in
+                match (run_file (Sharded shards) path).status with
+                | Complete -> ()
+                | s -> failwith (status_to_string s))
+          in
+          if shards = 1 then t1 := dt;
+          Printf.printf "  %-6s %2d shard(s): %8.4f s  (%.2fx vs 1)\n%!"
+            name shards dt (!t1 /. dt))
+        [ 1; 2; 4; 8 ];
+      Sys.remove path)
     logs
 
 (* ---------------------------------------------------------------- *)

@@ -41,6 +41,7 @@ module Discipline = Sfr_detect.Discipline
 module Events = Sfr_runtime.Events
 module Mem_meter = Sfr_support.Mem_meter
 module Stats = Sfr_support.Stats
+module Stream_replay = Sfr_eventlog.Stream_replay
 
 open Cmdliner
 
@@ -640,19 +641,13 @@ let replay_cmd =
   let run file detector shards stats no_verify om =
     apply_om om;
     let entry = resolve_detector detector in
-    let log =
-      match Sfr_eventlog.Reader.load_file file with
-      | Ok log -> log
-      | Error e ->
-          Printf.eprintf "%s: %s\n" file (Sfr_eventlog.Log_format.error_to_string e);
-          exit 2
-    in
-    let racy =
+    let mode =
       match shards with
+      | None -> Stream_replay.Detector (entry.Detectors.make ())
       | Some n when n < 1 ->
           Printf.eprintf "--shards must be >= 1\n";
           exit 2
-      | Some n -> (
+      | Some n ->
           if not entry.Detectors.caps.Detectors.shardable then begin
             Printf.eprintf
               "detector %s does not support sharded replay (--shards %d); \
@@ -660,61 +655,36 @@ let replay_cmd =
               entry.Detectors.name n (Detectors.listing ());
             exit 2
           end;
-          let res, dt =
-            Stats.time (fun () -> Sfr_eventlog.Shard_replay.run log ~shards:n)
-          in
-          match res with
-          | Error e ->
-              Printf.eprintf "%s: %s\n" file
-                (Sfr_eventlog.Replay.error_to_string e);
-              exit 2
-          | Ok r ->
-              (* stdout is shard-count-independent (diffable across N);
-                 timing and the shard split go to stderr / --stats *)
-              Printf.printf "replayed %d structural events, %d accesses\n"
-                r.Sfr_eventlog.Shard_replay.structural
-                r.Sfr_eventlog.Shard_replay.accesses;
-              Printf.printf "reachability queries: %d\n"
-                r.Sfr_eventlog.Shard_replay.queries;
-              let racy = print_races r.Sfr_eventlog.Shard_replay.reports in
-              Printf.eprintf "replayed in %.3f s on %d shard(s)\n" dt n;
-              if stats then begin
-                print_endline "-- shards -----------------------------------------";
-                Array.iteri
-                  (fun i sz -> Printf.printf "shard %d: %d accesses\n" i sz)
-                  r.Sfr_eventlog.Shard_replay.shard_sizes
-              end;
-              racy)
-      | None -> (
-          let det = entry.Detectors.make () in
-          if
-            (not det.Detector.supports_parallel)
-            && Sfr_eventlog.Reader.n_workers log > 1
-          then begin
-            Printf.eprintf
-              "%s requires a depth-first event order; this log has %d worker \
-               streams (record with the serial executor)\n%s"
-              det.Detector.name
-              (Sfr_eventlog.Reader.n_workers log)
-              (Detectors.listing ());
-            exit 2
-          end;
-          let res, dt =
-            Stats.time (fun () -> Sfr_eventlog.Replay.run_detector log det)
-          in
-          match res with
-          | Error e ->
-              Printf.eprintf "%s: %s\n" file
-                (Sfr_eventlog.Replay.error_to_string e);
-              exit 2
-          | Ok n ->
-              Printf.printf "replayed %d events under %s\n" n
-                entry.Detectors.name;
-              Printf.printf "reachability queries: %d\n" (det.Detector.queries ());
-              let racy = print_races (Race.reports det.Detector.races) in
-              Printf.eprintf "replayed in %.3f s\n" dt;
-              racy)
+          Stream_replay.Sharded n
     in
+    let v, dt = Stats.time (fun () -> Stream_replay.run_file mode file) in
+    if v.Stream_replay.status <> Stream_replay.Complete then begin
+      Printf.eprintf "%s: %s\n" file
+        (Stream_replay.status_to_string v.Stream_replay.status);
+      exit 2
+    end;
+    (* sharded stdout is shard-count-independent (diffable across N);
+       timing and the shard split go to stderr / --stats *)
+    (match shards with
+    | Some _ ->
+        Printf.printf "replayed %d structural events, %d accesses\n"
+          (v.Stream_replay.events_applied - v.Stream_replay.accesses)
+          v.Stream_replay.accesses
+    | None ->
+        Printf.printf "replayed %d events under %s\n"
+          v.Stream_replay.events_applied entry.Detectors.name);
+    Printf.printf "reachability queries: %d\n" v.Stream_replay.queries;
+    let racy = print_races v.Stream_replay.reports in
+    Printf.eprintf "replayed in %.3f s%s\n" dt
+      (match shards with
+      | Some n -> Printf.sprintf " on %d shard(s)" n
+      | None -> "");
+    if stats && shards <> None then begin
+      print_endline "-- shards -----------------------------------------";
+      Array.iteri
+        (fun i sz -> Printf.printf "shard %d: %d accesses\n" i sz)
+        v.Stream_replay.shard_sizes
+    end;
     if stats then begin
       print_endline "-- metrics ----------------------------------------";
       print_string
@@ -736,12 +706,16 @@ let analyze_cmd =
       & info [ "no-verify" ] ~doc:"Exit 0 even when races are found.")
   in
   let run file no_verify =
-    (match Sfr_eventlog.Reader.load_file file with
-    | Ok _ ->
-        Printf.eprintf
-          "%s is a binary event log; use: racedetect replay %s\n" file file;
-        exit 2
-    | Error _ -> ());
+    let magic = Sfr_eventlog.Log_format.magic in
+    let head =
+      In_channel.with_open_bin file (fun ic ->
+          In_channel.really_input_string ic (String.length magic))
+    in
+    if head = Some magic then begin
+      Printf.eprintf "%s is a binary event log; use: racedetect replay %s\n"
+        file file;
+      exit 2
+    end;
     let dag, accesses =
       match Sfr_dag.Dag_io.load_file_result file with
       | Ok v -> v
@@ -1208,7 +1182,6 @@ let serve_cmd =
             deadline_ms;
             idle_ms;
             shards;
-            access_batch = 8192;
           };
         global_budget = budget;
         overload;

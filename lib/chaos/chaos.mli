@@ -71,7 +71,7 @@ type config = {
           raise would test the injector, not the system. {!Record} and {!Log_flush} are valid
           fault sites: a raise there abandons an event-log mid-write,
           which is exactly how the torn/truncated-log corpus for
-          {!Sfr_eventlog.Reader} is produced. *)
+          {!Sfr_eventlog.Stream_replay} is produced. *)
   max_faults : int;  (** cap on faults raised per armed campaign *)
 }
 

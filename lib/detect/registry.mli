@@ -22,9 +22,9 @@ type caps = {
       (** an independent algorithm whose serial run is usable as
           differential ground truth (chaos [--oracle]). *)
   shardable : bool;
-      (** supports location-sharded offline replay ([--shards]); only
-          SF-Order, whose reachability {!Sfr_eventlog.Shard_replay}
-          implements. *)
+      (** supports location-sharded replay ([--shards]); only SF-Order,
+          whose reachability {!Sfr_eventlog.Stream_replay.Sharded}
+          builds. *)
   figure : bool;  (** appears in the paper-reproduction figure tables. *)
   scale_ceiling : string option;
       (** largest {!Sfr_workloads.Workload.scale} name the detector is

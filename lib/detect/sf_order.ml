@@ -97,18 +97,23 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Mutex)
       Cp_cow { arr = Atomic.make [| Fp_sets.empty eng |]; mu = Mutex.create () }
   in
   let races = Race.create () in
-  (* Query count, striped per domain with one cache line per slot: a
-     shared [Atomic.incr] here serializes every domain on one cache line
-     and dominates sharded offline replay (millions of queries per
-     domain). Concurrently live domain IDs are near-consecutive, so
-     slots never collide mod 128 in practice and the sum stays exact. *)
-  let q_stride = 8 in
-  let q_slots = Array.make (128 * q_stride) 0 in
-  let count_query () =
-    let s = ((Domain.self () :> int) land 127) * q_stride in
-    q_slots.(s) <- q_slots.(s) + 1
+  (* Query count, striped over 128 atomics picked by domain ID, each
+     padded to its own cache line: one shared counter would serialize
+     every domain on one line and dominate sharded replay (millions of
+     queries per domain). Domains whose IDs agree mod 128 share a stripe
+     — sharded replay spawns a fresh domain per batch, so IDs do wrap —
+     and [Atomic.incr] keeps the sum exact when they run together. *)
+  let padded_atomic () : int Atomic.t =
+    (* the atomic primitives touch field 0 only; fields 1..7 are padding *)
+    let b = Obj.new_block 0 8 in
+    for i = 0 to 7 do
+      Obj.set_field b i (Obj.repr 0)
+    done;
+    Obj.obj b
   in
-  let query_total () = Array.fold_left ( + ) 0 q_slots in
+  let q_slots = Array.init 128 (fun _ -> padded_atomic ()) in
+  let count_query () = Atomic.incr q_slots.((Domain.self () :> int) land 127) in
+  let query_total () = Array.fold_left (fun n a -> n + Atomic.get a) 0 q_slots in
   (* Algorithm 1: Precedes(u, v) for a previous accessor u against the
      currently executing strand v. *)
   let precedes (u : strand) (v : strand) =

@@ -1,5 +1,5 @@
 (** The .sflog binary event-log format (version 1): wire-level codecs
-    shared by {!Recorder} (writer) and {!Reader}.
+    shared by {!Recorder} (writer) and {!Stream_reader}.
 
     A log is a header, a sequence of {e chunks}, and a footer:
 
@@ -16,8 +16,7 @@
     worker. Events never span a chunk boundary (the recorder flushes only
     at event boundaries). The footer CRC covers every chunk payload byte
     in file order; [states] is the exclusive upper bound on state IDs, so
-    a reader can validate every reference (and size its replay table)
-    before replaying anything.
+    a reader can validate every reference once the footer arrives.
 
     Integers are LEB128-style varints (7 bits per byte, low bits first,
     high bit = continue; at most 10 bytes — OCaml's 63-bit int range).

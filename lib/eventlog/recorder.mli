@@ -10,7 +10,8 @@
     fetch-and-add per {e structural} event; accesses allocate nothing)
     before any event referencing it can be recorded on any worker, so
     each worker stream is consistent with real time and the union of
-    streams admits the greedy topological merge {!Replay} performs.
+    streams admits the greedy topological merge {!Stream_replay}
+    performs.
 
     Compose with other clients via {!Sfr_runtime.Events.pair} (e.g. to
     record and detect in the same run), or use alone for minimum-overhead

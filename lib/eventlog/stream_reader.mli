@@ -1,15 +1,13 @@
-(** Incremental .sflog decoder for streaming ingestion.
+(** Incremental .sflog decoder — the only one: offline replay feeds it a
+    file in slices, the ingestion service feeds it socket bytes.
 
-    {!Reader} wants the whole file before it decodes anything — it
-    validates the footer CRC first, then walks the chunks. A long-lived
-    ingestion service cannot wait for the footer: chunks arrive over a
-    socket, the stream may stop at any byte, and detection should track
-    the prefix received so far. This module decodes the same wire format
+    The stream may stop at any byte, and detection should track the
+    prefix received so far, so this module decodes the wire format
     {e as bytes arrive}: feed it arbitrary byte slices, drain whatever
     events became fully decodable, and settle the footer (CRC over every
     payload byte, declared counts) when — if ever — it shows up.
 
-    Differences from the offline reader, by necessity of streaming:
+    By necessity of streaming:
 
     - State IDs cannot be bounds-checked against the footer's declared
       count mid-stream (the footer hasn't arrived); the decoder instead
@@ -18,13 +16,12 @@
       that never resolves as a typed inconsistency.
     - A decode that runs out of {e fed} bytes is not an error, it is
       "wait for more". Only {!finish} — the caller declaring end of
-      input — turns an incomplete decode into the typed
-      [Truncated]/[Bad_*] error the offline reader would report.
+      input — turns an incomplete decode into a typed
+      [Truncated]/[Bad_*] error.
 
     Errors are sticky: after the first [Error], every subsequent
     {!drain}/{!finish} returns the same error and fed bytes are
-    discarded. All offsets in errors are absolute stream offsets, as in
-    {!Reader}. *)
+    discarded. All offsets in errors are absolute stream offsets. *)
 
 type summary = {
   s_events : int;  (** footer-declared (and verified) event count *)

@@ -14,23 +14,42 @@ let m_shard_checks = Metrics.counter "eventlog.stream.shard_checks"
    analysis work a drained chunk pays for. *)
 let t_step = Sfr_obs.Prof.timer "prof.eventlog.stream_step.ns"
 
+type error =
+  | Stuck of { replayed : int; worker : int; index : int; missing : int }
+  | Redefined of { worker : int; index : int; id : int }
+
+let error_to_string = function
+  | Stuck { replayed; worker; index; missing } ->
+      Printf.sprintf
+        "inconsistent log: replay stuck after %d events (worker %d event %d \
+         waits on state %d, which nothing defines or ends)"
+        replayed worker index missing
+  | Redefined { worker; index; id } ->
+      Printf.sprintf
+        "inconsistent log: worker %d event %d redefines state %d" worker index
+        id
+
 type status =
   | Complete
   | Torn of Log_format.error
-  | Inconsistent of Replay.error
+  | Inconsistent of error
   | Detector_failed of string
 
 let status_to_string = function
   | Complete -> "complete"
   | Torn e -> Printf.sprintf "torn stream: %s" (Log_format.error_to_string e)
-  | Inconsistent e -> Replay.error_to_string e
+  | Inconsistent e -> error_to_string e
   | Detector_failed msg -> Printf.sprintf "detector failed: %s" msg
+
+type mode = Detector of Detector.t | Sharded of int
 
 type verdict = {
   status : status;
   reports : Race.report list;
   racy_locations : int list;
   events_applied : int;
+  accesses : int;
+  shard_sizes : int array;
   bytes_analyzed : int;
   queries : int;
 }
@@ -42,13 +61,16 @@ type wstream = { q : Log_format.event Queue.t; mutable applied : int }
 
 type access = { state : Events.state; loc : int; is_write : bool }
 
+(* Pending accesses that trigger a parallel shard check. *)
+let access_batch = 8192
+
 type shard_state = {
   n : int;
   histories : Events.state Access_history.t array;
   races : Race.t array;
   pending : access list ref array;  (** newest-first; reversed at check *)
   mutable n_pending : int;
-  batch : int;
+  sizes : int array;  (** accesses routed to each shard so far *)
   precedes : Events.state -> Events.state -> bool;
 }
 
@@ -57,45 +79,50 @@ type t = {
   det : Detector.t;
   shards : shard_state option;  (** [None] = inline checking *)
   mutable streams : wstream array;
+  mutable first_worker : int;  (** worker of the first event; -1 before *)
   mutable states : Events.state option array;
+  mutable ended : bool array;  (** strand's [Put] / [Returned] applied *)
   mutable applied : int;
+  mutable accesses : int;
   mutable failed : status option;  (** first latched failure, sticky *)
   mutable final : verdict option;  (** close is idempotent *)
 }
 
-let create ?(shards = 1) ?(access_batch = 8192) () =
-  if shards < 1 then invalid_arg "Stream_replay.create: shards must be >= 1";
-  let det, precedes = Sf_order.make_with_precedes () in
-  let shard_state =
-    if shards = 1 then None
-    else
-      Some
-        {
-          n = shards;
-          histories =
-            Array.init shards (fun _ ->
-                Access_history.create ~sync:`Unsynchronized
-                  Access_history.Keep_all);
-          races = Array.init shards (fun _ -> Race.create ());
-          pending = Array.init shards (fun _ -> ref []);
-          n_pending = 0;
-          batch = max 1 access_batch;
-          precedes;
-        }
+let create mode =
+  let det, shards =
+    match mode with
+    | Detector det -> (det, None)
+    | Sharded n ->
+        if n < 1 then invalid_arg "Stream_replay.create: shards must be >= 1";
+        let det, precedes = Sf_order.make_with_precedes () in
+        ( det,
+          Some
+            {
+              n;
+              histories =
+                Array.init n (fun _ ->
+                    Access_history.create ~sync:`Unsynchronized
+                      Access_history.Keep_all);
+              races = Array.init n (fun _ -> Race.create ());
+              pending = Array.init n (fun _ -> ref []);
+              n_pending = 0;
+              sizes = Array.make n 0;
+              precedes;
+            } )
   in
   {
     reader = Stream_reader.create ();
     det;
-    shards = shard_state;
+    shards;
     streams = [||];
+    first_worker = -1;
     states = Array.make 64 None;
+    ended = Array.make 64 false;
     applied = 0;
+    accesses = 0;
     failed = None;
     final = None;
   }
-
-let events_applied t = t.applied
-let bytes_analyzed t = Stream_reader.consumed t.reader
 
 let feed t bytes ~pos ~len =
   if t.failed = None && t.final = None then
@@ -114,12 +141,14 @@ let ensure_stream t w =
   end
 
 let ensure_state t id =
-  if id >= Array.length t.states then begin
-    let a =
-      Array.make (max (id + 1) (2 * Array.length t.states)) None
-    in
-    Array.blit t.states 0 a 0 (Array.length t.states);
-    t.states <- a
+  let n = Array.length t.states in
+  if id >= n then begin
+    let n' = max (id + 1) (2 * n) in
+    let a = Array.make n' None and e = Array.make n' false in
+    Array.blit t.states 0 a 0 n;
+    Array.blit t.ended 0 e 0 n;
+    t.states <- a;
+    t.ended <- e
   end
 
 let lookup t id =
@@ -135,12 +164,55 @@ let define t id s =
   | None -> t.states.(id) <- Some s
   | Some _ -> raise (Redefined_exn id)
 
+let defined t id = id < Array.length t.states && t.states.(id) <> None
+let ended t id = id < Array.length t.ended && t.ended.(id)
+
+(* A defined state only says its strand has started. A join also needs
+   the joined strand to have ended — a sync waits for each spawned
+   child's [Returned], a get for the future's [Put] — or it could apply
+   ahead of that strand's last accesses on another worker stream. *)
+let joined (ev : Log_format.event) =
+  match ev with
+  | Sync { spawned_lasts; _ } -> spawned_lasts
+  | Get { put; _ } -> [ put ]
+  | _ -> []
+
 let ready t ev =
-  List.for_all
-    (fun id -> id < Array.length t.states && t.states.(id) <> None)
-    (Log_format.inputs ev)
+  List.for_all (defined t) (Log_format.inputs ev)
+  && List.for_all (ended t) (joined ev)
+
+(* Dispatch one event to the client callbacks, threading state IDs
+   through [lookup]/[define]. *)
+let apply_callbacks (cb : Events.callbacks) ~lookup ~define ev =
+  match (ev : Log_format.event) with
+  | Spawn { cur; child; cont } ->
+      let c, t = cb.on_spawn (lookup cur) in
+      define child c;
+      define cont t
+  | Create { cur; child; cont } ->
+      let c, t = cb.on_create (lookup cur) in
+      define child c;
+      define cont t
+  | Sync { cur; spawned_lasts; created_firsts; next } ->
+      define next
+        (cb.on_sync ~cur:(lookup cur)
+           ~spawned_lasts:(List.map lookup spawned_lasts)
+           ~created_firsts:(List.map lookup created_firsts))
+  | Put { cur } -> cb.on_put (lookup cur)
+  | Get { cur; put; next } ->
+      define next (cb.on_get ~cur:(lookup cur) ~put:(lookup put))
+  | Returned { cont; child_last } ->
+      cb.on_returned ~cont:(lookup cont) ~child_last:(lookup child_last)
+  | Read { cur; loc } -> cb.on_read (lookup cur) loc
+  | Write { cur; loc } -> cb.on_write (lookup cur) loc
+  | Work { cur; amount } -> cb.on_work (lookup cur) amount
 
 (* -- sharded access checking ------------------------------------------- *)
+
+(* Fibonacci multiplicative hash: spreads clustered location ranges (each
+   workload allocates a contiguous block) evenly over the shards. *)
+let shard_of ~loc ~shards =
+  if shards = 1 then 0 else (loc * 0x9E3779B1 land max_int) mod shards
 
 let check_shard_batch sh s (accesses : access array) =
   let history = sh.histories.(s) in
@@ -166,9 +238,9 @@ let check_shard_batch sh s (accesses : access array) =
     accesses
 
 (* Drain every pending per-shard batch, shard 0 on the calling domain
-   and the rest on freshly spawned ones — the streaming counterpart of
-   Shard_replay's phase 2. Runs while the structural merge is paused,
-   so the frozen-prefix reachability structures are read-only. *)
+   and the rest on freshly spawned ones. Runs while the structural merge
+   is paused, so the frozen-prefix reachability structures are
+   read-only. *)
 let flush_shards sh =
   if sh.n_pending > 0 then begin
     Metrics.incr m_shard_checks;
@@ -195,27 +267,23 @@ let flush_shards sh =
 let latch t status = if t.failed = None then t.failed <- Some status
 
 let apply_event t ev =
-  match t.shards with
-  | Some sh -> (
-      match (ev : Log_format.event) with
-      | Read { cur; loc } | Write { cur; loc } ->
-          let is_write =
-            match ev with Log_format.Write _ -> true | _ -> false
-          in
-          let s = Shard_replay.shard_of ~loc ~shards:sh.n in
-          sh.pending.(s) := { state = lookup t cur; loc; is_write } :: !(sh.pending.(s));
-          sh.n_pending <- sh.n_pending + 1;
-          if sh.n_pending >= sh.batch then flush_shards sh
-      | _ ->
-          Replay.apply_callbacks t.det.Detector.callbacks
-            ~lookup:(lookup t)
-            ~define:(fun id s -> define t id s)
-            ev)
-  | None ->
-      Replay.apply_callbacks t.det.Detector.callbacks
-        ~lookup:(lookup t)
+  match (t.shards, (ev : Log_format.event)) with
+  | Some sh, (Read { cur; loc } | Write { cur; loc }) ->
+      let is_write = match ev with Write _ -> true | _ -> false in
+      let s = shard_of ~loc ~shards:sh.n in
+      sh.pending.(s) := { state = lookup t cur; loc; is_write } :: !(sh.pending.(s));
+      sh.sizes.(s) <- sh.sizes.(s) + 1;
+      sh.n_pending <- sh.n_pending + 1;
+      t.accesses <- t.accesses + 1;
+      if sh.n_pending >= access_batch then flush_shards sh
+  | _ -> (
+      apply_callbacks t.det.Detector.callbacks ~lookup:(lookup t)
         ~define:(fun id s -> define t id s)
-        ev
+        ev;
+      match ev with
+      | Read _ | Write _ -> t.accesses <- t.accesses + 1
+      | Put { cur } | Returned { child_last = cur; _ } -> t.ended.(cur) <- true
+      | _ -> ())
 
 (* Sweep the streams, applying every ready head, until a full sweep makes
    no progress (then: wait for more input; whether that's a deadlock is
@@ -239,8 +307,7 @@ let merge t =
                 progress := true
             | exception Redefined_exn id ->
                 latch t
-                  (Inconsistent
-                     (Replay.Redefined { worker = w; index = st.applied; id }))
+                  (Inconsistent (Redefined { worker = w; index = st.applied; id }))
             | exception Detect_error.Error e ->
                 latch t (Detector_failed (Detect_error.to_string e))
             | exception exn ->
@@ -251,17 +318,31 @@ let merge t =
       t.streams
   done
 
+(* Queue a decoded event on its worker stream. A serial-only detector
+   refuses a second worker stream before applying any of its events. *)
+let enqueue t (w, ev) =
+  if t.failed = None then begin
+    if w <> t.first_worker then
+      if t.first_worker < 0 then t.first_worker <- w
+      else if not t.det.Detector.supports_parallel then
+        latch t
+          (Detector_failed
+             (Printf.sprintf
+                "%s requires a depth-first event order, but the log has more \
+                 than one worker stream (record with the serial executor)"
+                t.det.Detector.name));
+    if t.failed = None then begin
+      ensure_stream t w;
+      Queue.push ev t.streams.(w).q
+    end
+  end
+
 let step t =
   if t.failed = None && t.final = None then begin
     Metrics.incr m_steps;
     let pt = Sfr_obs.Prof.start () in
     (match Stream_reader.drain t.reader with
-    | Ok evs ->
-        List.iter
-          (fun (w, ev) ->
-            ensure_stream t w;
-            Queue.push ev t.streams.(w).q)
-          evs
+    | Ok evs -> List.iter (enqueue t) evs
     | Error e -> latch t (Torn e));
     if t.failed = None then begin
       (* root state exists before any event *)
@@ -271,21 +352,19 @@ let step t =
     Sfr_obs.Prof.stop t_step pt
   end
 
-(* The first blocked stream head and the state it waits on — mirrors
-   Replay.drive's stuck diagnostics. *)
+(* The first blocked stream head and the state it waits on. *)
 let find_blocked t =
   let blocked = ref None in
   Array.iteri
     (fun w st ->
       if !blocked = None && not (Queue.is_empty st.q) then
         let ev = Queue.peek st.q in
-        match
-          List.find_opt
-            (fun id -> id >= Array.length t.states || t.states.(id) = None)
-            (Log_format.inputs ev)
-        with
-        | Some missing -> blocked := Some (w, st.applied, missing)
-        | None -> ())
+        let missing =
+          match List.find_opt (fun id -> not (defined t id)) (Log_format.inputs ev) with
+          | Some _ as m -> m
+          | None -> List.find_opt (fun id -> not (ended t id)) (joined ev)
+        in
+        Option.iter (fun m -> blocked := Some (w, st.applied, m)) missing)
     t.streams;
   !blocked
 
@@ -293,20 +372,25 @@ let undrained t =
   Array.exists (fun st -> not (Queue.is_empty st.q)) t.streams
 
 let make_verdict t status =
-  (match t.shards with Some sh -> flush_shards sh | None -> ());
-  let reports =
+  let reports, shard_sizes =
     match t.shards with
-    | None -> Race.reports t.det.Detector.races
+    | None -> (Race.reports t.det.Detector.races, [||])
     | Some sh ->
-        Array.to_list sh.races
-        |> List.concat_map Race.reports
-        |> List.sort (fun (a : Race.report) b -> compare a.Race.loc b.Race.loc)
+        flush_shards sh;
+        (* shards partition locations, so sorting the concatenated
+           per-shard reports by location is a disjoint merge *)
+        ( Array.to_list sh.races
+          |> List.concat_map Race.reports
+          |> List.sort (fun (a : Race.report) b -> compare a.Race.loc b.Race.loc),
+          Array.copy sh.sizes )
   in
   {
     status;
     reports;
     racy_locations = List.map (fun (r : Race.report) -> r.Race.loc) reports;
     events_applied = t.applied;
+    accesses = t.accesses;
+    shard_sizes;
     bytes_analyzed = Stream_reader.consumed t.reader;
     queries = t.det.Detector.queries ();
   }
@@ -331,7 +415,7 @@ let partial t =
       in
       make_verdict t status
 
-let close t ~abrupt =
+let close t =
   match t.final with
   | Some v -> v
   | None ->
@@ -342,23 +426,29 @@ let close t ~abrupt =
         | None -> (
             match Stream_reader.finish t.reader with
             | Ok _ when not (undrained t) -> Complete
-            | Ok _ -> (
-                match find_blocked t with
-                | Some (worker, index, missing) ->
-                    Inconsistent
-                      (Replay.Stuck
-                         { replayed = t.applied; worker; index; missing })
-                | None ->
-                    Inconsistent
-                      (Replay.Stuck
-                         { replayed = t.applied; worker = 0; index = 0; missing = 0 }))
-            | Error e ->
-                (* abrupt or not: an incomplete stream is torn; [abrupt]
-                   only distinguishes how the transport ended, the
-                   analyzed-prefix verdict is the same *)
-                ignore abrupt;
-                Torn e)
+            | Ok _ ->
+                let worker, index, missing =
+                  Option.value (find_blocked t) ~default:(0, 0, 0)
+                in
+                Inconsistent
+                  (Stuck { replayed = t.applied; worker; index; missing })
+            | Error e -> Torn e)
       in
       let v = make_verdict t status in
       t.final <- Some v;
       v
+
+let run_file mode path =
+  let t = create mode in
+  In_channel.with_open_bin path (fun ic ->
+      let buf = Bytes.create 4096 in
+      let rec loop () =
+        let n = In_channel.input ic buf 0 (Bytes.length buf) in
+        if n > 0 then begin
+          feed t buf ~pos:0 ~len:n;
+          step t;
+          if t.failed = None then loop ()
+        end
+      in
+      loop ());
+  close t

@@ -35,7 +35,6 @@ type config = {
   deadline_ms : int option;
   idle_ms : int option;
   shards : int;
-  access_batch : int;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     deadline_ms = None;
     idle_ms = None;
     shards = 1;
-    access_batch = 8192;
   }
 
 type outcome = {
@@ -103,7 +101,9 @@ let create ~id ~now_ms cfg =
     cfg;
     decoder = Frame.decoder ();
     replay =
-      Stream_replay.create ~shards:cfg.shards ~access_batch:cfg.access_batch ();
+      Stream_replay.create
+        (if cfg.shards = 1 then Stream_replay.Detector (Sfr_detect.Sf_order.make ())
+         else Stream_replay.Sharded cfg.shards);
     queue = Queue.create ();
     queued = 0;
     credit = 0;
@@ -290,7 +290,7 @@ let finish_with_verdict t (v : Stream_replay.verdict) extra_message =
             (Sfr_eventlog.Log_format.error_to_string e)
             v.Stream_replay.bytes_analyzed extra_message )
     | Stream_replay.Inconsistent e ->
-        (Frame.Err_inconsistent, Sfr_eventlog.Replay.error_to_string e)
+        (Frame.Err_inconsistent, Stream_replay.error_to_string e)
     | Stream_replay.Detector_failed m -> (Frame.Err_detector, m)
   in
   let o =
@@ -463,7 +463,7 @@ let ingest t =
     let base = { no_effect with send = credit_frames; released = !drained } in
     if t.close_received then
       merge base
-        (finish_with_verdict t (Stream_replay.close t.replay ~abrupt:false) "")
+        (finish_with_verdict t (Stream_replay.close t.replay) "")
     else base
   end
 
@@ -482,7 +482,7 @@ let on_disconnect t =
     else begin
       (* transport gone without CLOSE: record the analyzed-prefix
          offset before latching the torn verdict *)
-      let v = Stream_replay.close t.replay ~abrupt:true in
+      let v = Stream_replay.close t.replay in
       Audit.emit
         (Audit.Disconnect
            {

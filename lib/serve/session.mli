@@ -22,8 +22,9 @@ type config = {
   credit_window : int;  (** max un-ingested DATA bytes per session *)
   deadline_ms : int option;  (** wall-clock budget for the whole session *)
   idle_ms : int option;  (** max quiet gap between frames *)
-  shards : int;  (** detection shards, as {!Sfr_eventlog.Stream_replay} *)
-  access_batch : int;
+  shards : int;
+      (** detection shards: 1 checks accesses inline with SF-Order, more
+          selects {!Sfr_eventlog.Stream_replay.Sharded} *)
 }
 
 val default_config : config
@@ -113,7 +114,7 @@ val replenish_credit : t -> effect_
 
 val on_disconnect : t -> effect_
 (** Transport gone without [CLOSE]: drain what was queued, close the
-    stream as abrupt, latch the best-effort prefix outcome. [send] is
+    stream, latch the best-effort prefix outcome. [send] is
     what {e would} be replied (loopback transports can still deliver
     it). An {!admin_only} session instead finishes quietly — no
     outcome, no verdict frame. *)

@@ -506,6 +506,50 @@ let test_deep_differential () =
       ]
   done
 
+(* SF-Order stripes its query count by domain ID mod 128. Spawn domains
+   one at a time until one lands on the main domain's stripe, then query
+   from both domains at once: no increment may be lost. *)
+let test_query_count_shared_stripe () =
+  let det, precedes = Sf_order.make_with_precedes () in
+  let child, cont = det.Detector.callbacks.Events.on_spawn det.Detector.root in
+  let stripe () = (Domain.self () :> int) land 127 in
+  let main = stripe () in
+  let n = 2_000_000 in
+  let hammer () =
+    for _ = 1 to n do
+      ignore (precedes child cont)
+    done
+  in
+  let before = det.Detector.queries () in
+  (* state: 0 probing, 1 other stripe, 2 shared stripe, 3 go *)
+  let rec find tries =
+    if tries = 0 then Alcotest.fail "no domain landed on the main stripe";
+    let state = Atomic.make 0 in
+    let d =
+      Domain.spawn (fun () ->
+          if stripe () <> main then Atomic.set state 1
+          else begin
+            Atomic.set state 2;
+            while Atomic.get state <> 3 do
+              Domain.cpu_relax ()
+            done;
+            hammer ()
+          end)
+    in
+    while Atomic.get state = 0 do
+      Domain.cpu_relax ()
+    done;
+    if Atomic.get state = 2 then begin
+      Atomic.set state 3;
+      hammer ()
+    end;
+    Domain.join d;
+    if Atomic.get state = 1 then find (tries - 1)
+  in
+  find 1024;
+  check int "every concurrent query counted" (before + (2 * n))
+    (det.Detector.queries ())
+
 let () =
   Alcotest.run "detect"
     [
@@ -524,6 +568,11 @@ let () =
         ] );
       ( "parallel-exec",
         [ Alcotest.test_case "patterns under parallel execution" `Quick test_parallel_patterns ] );
+      ( "queries",
+        [
+          Alcotest.test_case "count exact on a shared stripe" `Quick
+            test_query_count_shared_stripe;
+        ] );
       ("differential", qtests);
       ( "deep",
         [ Alcotest.test_case "600-op differential sweep" `Slow test_deep_differential ] );

@@ -1,19 +1,18 @@
-(* Event-log record/replay tests.
+(* Event-log record/replay tests, all through the one replay engine
+   ([Stream_replay.run_file], as [racedetect replay] runs it).
 
    The contract under test: (1) round trip — replaying a recorded log
    under SF-Order reports exactly the races the live detector reports on
    the same execution; (2) sharded replay is shard-count-invariant;
    (3) every malformed log (bad magic, truncated anywhere, bit flips,
-   out-of-range state IDs, overlong varints) is a typed [Error] with a
-   byte offset, never an exception — including the torn logs produced by
-   chaos faults at the Record/Log_flush sites; (4) Trace.accesses is in
-   its documented deterministic order. *)
+   out-of-range state IDs, overlong varints) is a typed [Torn] status
+   with a byte offset, never an exception — including the torn logs
+   produced by chaos faults at the Record/Log_flush sites;
+   (4) Trace.accesses is in its documented deterministic order. *)
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
-module Reader = Sfr_eventlog.Reader
-module Replay = Sfr_eventlog.Replay
-module Shard_replay = Sfr_eventlog.Shard_replay
+module Stream_replay = Sfr_eventlog.Stream_replay
 module Events = Sfr_runtime.Events
 module Serial_exec = Sfr_runtime.Serial_exec
 module Par_exec = Sfr_runtime.Par_exec
@@ -42,15 +41,19 @@ let read_file path =
   close_in ic;
   b
 
-(* Record [program] serially and return the loaded log. *)
+(* Record [program] and return the recorder stats and the log image. *)
 let record program =
   with_temp_log (fun path ->
       let rec_, cb, root = Recorder.create ~path () in
       program cb root;
       let stats = Recorder.close rec_ in
-      match Reader.load_file path with
-      | Ok log -> (log, stats, read_file path)
-      | Error e -> Alcotest.failf "fresh log unreadable: %s" (Log_format.error_to_string e))
+      (stats, read_file path))
+
+(* Replay a log image through the file path the CLI uses. *)
+let replay mode image =
+  with_temp_log (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
+      Stream_replay.run_file mode path)
 
 let serial p cb root = ignore (Serial_exec.run cb ~root p)
 
@@ -69,11 +72,14 @@ let live_races base run =
   run det.Detector.callbacks det.Detector.root;
   norm base (Race.reports det.Detector.races)
 
-let replay_races base log =
-  let det = Sf_order.make () in
-  match Replay.run_detector log det with
-  | Ok _ -> norm base (Race.reports det.Detector.races)
-  | Error e -> Alcotest.failf "replay failed: %s" (Replay.error_to_string e)
+let replayed_races base mode image =
+  let v = replay mode image in
+  match v.Stream_replay.status with
+  | Stream_replay.Complete -> norm base v.Stream_replay.reports
+  | s -> Alcotest.failf "replay failed: %s" (Stream_replay.status_to_string s)
+
+let replay_races base image =
+  replayed_races base (Stream_replay.Detector (Sf_order.make ())) image
 
 let slist = Alcotest.list Alcotest.string
 
@@ -90,7 +96,7 @@ let test_round_trip_workloads () =
                 serial (fun () -> i.Workload.program ()) cb root)
           in
           let i = w.Workload.instantiate ~inject_race Workload.Tiny in
-          let log, stats, _ =
+          let stats, log =
             record (fun cb root -> serial (fun () -> i.Workload.program ()) cb root)
           in
           check Alcotest.int "one worker stream" 1 stats.Recorder.workers;
@@ -116,7 +122,7 @@ let test_round_trip_synthetic () =
           serial (fun () -> i.Synthetic.program ()) cb root)
     in
     let i = Synthetic.instantiate t in
-    let log, _, _ =
+    let _, log =
       record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
     in
     check slist
@@ -143,7 +149,7 @@ let test_parallel_log_replays () =
           serial (fun () -> i.Synthetic.program ()) cb root)
     in
     let i = Synthetic.instantiate t in
-    let log, _, _ =
+    let _, log =
       record (fun cb root ->
           ignore (Par_exec.run ~workers:3 cb ~root (fun () -> i.Synthetic.program ())))
     in
@@ -157,16 +163,14 @@ let test_parallel_log_replays () =
 (* -- sharded replay ----------------------------------------------------- *)
 
 let shard_races base log shards =
-  match Shard_replay.run log ~shards with
-  | Ok r -> norm base r.Shard_replay.reports
-  | Error e -> Alcotest.failf "shard replay failed: %s" (Replay.error_to_string e)
+  replayed_races base (Stream_replay.Sharded shards) log
 
 let test_shard_invariance () =
   for seed = 1 to 5 do
     let t = Synthetic.generate ~seed ~ops:150 ~depth:4 ~locs:6 () in
     let i = Synthetic.instantiate t in
     let base = i.Synthetic.mem_base in
-    let log, _, _ =
+    let _, log =
       record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
     in
     let one = shard_races base log 1 in
@@ -181,10 +185,10 @@ let test_shard_invariance () =
   done
 
 let test_shard_of () =
-  check Alcotest.int "1 shard is shard 0" 0 (Shard_replay.shard_of ~loc:12345 ~shards:1);
+  check Alcotest.int "1 shard is shard 0" 0 (Stream_replay.shard_of ~loc:12345 ~shards:1);
   let hit = Array.make 8 0 in
   for loc = 0 to 1023 do
-    let s = Shard_replay.shard_of ~loc ~shards:8 in
+    let s = Stream_replay.shard_of ~loc ~shards:8 in
     check Alcotest.bool "in range" true (s >= 0 && s < 8);
     hit.(s) <- hit.(s) + 1
   done;
@@ -196,20 +200,20 @@ let test_shard_of () =
 (* -- malformed logs ----------------------------------------------------- *)
 
 let expect_error name bytes pred =
-  match Reader.load_bytes bytes with
-  | Ok _ -> Alcotest.failf "%s: accepted a malformed log" name
-  | Error e ->
+  match (replay (Stream_replay.Detector (Sf_order.make ())) bytes).status with
+  | Stream_replay.Complete -> Alcotest.failf "%s: accepted a malformed log" name
+  | Stream_replay.Torn e ->
       check Alcotest.bool
         (Printf.sprintf "%s: %s" name (Log_format.error_to_string e))
         true (pred e)
+  | s ->
+      Alcotest.failf "%s: not a decode error: %s" name
+        (Stream_replay.status_to_string s)
 
 let valid_log_image () =
   let t = Synthetic.generate ~seed:3 ~ops:80 ~depth:3 ~locs:4 () in
   let i = Synthetic.instantiate t in
-  let _, _, bytes =
-    record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
-  in
-  bytes
+  snd (record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root))
 
 let test_malformed_corpus () =
   let img = valid_log_image () in
@@ -259,28 +263,35 @@ let test_every_prefix_rejected () =
             true)
   done
 
-(* Hand-crafted chunks: state IDs past the footer bound, and an overlong
-   varint, both named by offset. *)
-let craft_log ~payload ~events ~states ~workers =
+(* Hand-crafted logs: [chunks] are (worker, payload) pairs in file
+   order, closed by a footer with the given counts and a correct CRC. *)
+let craft_chunks ~chunks ~events ~states ~workers =
   let b = Buffer.create 64 in
   Buffer.add_string b Log_format.magic;
   Buffer.add_char b (Char.chr Log_format.version);
-  Buffer.add_char b '\001';
-  Log_format.write_varint b 0;
-  Log_format.write_varint b (Bytes.length payload);
-  Buffer.add_bytes b payload;
+  let crc =
+    List.fold_left
+      (fun crc (worker, payload) ->
+        Buffer.add_char b '\001';
+        Log_format.write_varint b worker;
+        Log_format.write_varint b (Bytes.length payload);
+        Buffer.add_bytes b payload;
+        Log_format.crc32_update crc payload ~pos:0 ~len:(Bytes.length payload))
+      Log_format.crc32_init chunks
+  in
   Buffer.add_char b '\000';
   Log_format.write_varint b events;
   Log_format.write_varint b states;
   Log_format.write_varint b workers;
-  let crc =
-    Log_format.crc32_update Log_format.crc32_init payload ~pos:0
-      ~len:(Bytes.length payload)
-  in
   for i = 0 to 3 do
     Buffer.add_char b (Char.chr ((crc lsr (8 * i)) land 0xFF))
   done;
   Buffer.to_bytes b
+
+(* One worker-0 chunk: state IDs past the footer bound, and an overlong
+   varint, both named by offset. *)
+let craft_log ~payload ~events ~states ~workers =
+  craft_chunks ~chunks:[ (0, payload) ] ~events ~states ~workers
 
 let test_crafted_corruption () =
   (* Put { cur = 9 } against a footer declaring only 3 states *)
@@ -315,6 +326,69 @@ let test_crafted_corruption () =
       | Log_format.Corrupt _ -> true
       | _ -> false)
 
+(* Two worker streams whose file order puts a join ahead of the joined
+   strand's last access. The merge must hold the join until the strand
+   ends ([Returned] for a sync, [Put] for a get); otherwise the
+   continuation's write is checked before the child's and races
+   falsely. A serial-only detector must refuse such a log. *)
+let test_join_waits_for_end () =
+  let payload evs =
+    let p = Buffer.create 16 in
+    ignore
+      (List.fold_left
+         (fun last ev -> Log_format.write_event p ~last_loc:last ev)
+         0 evs);
+    Buffer.to_bytes p
+  in
+  let loc = 7 in
+  let image ~parent ~child =
+    craft_chunks
+      ~chunks:[ (0, payload parent); (1, payload child) ]
+      ~events:(List.length parent + List.length child)
+      ~states:4 ~workers:2
+  in
+  let expect_clean name ~parent ~child =
+    let image = image ~parent ~child in
+    List.iter
+      (fun mode -> check slist name [] (replayed_races 0 mode image))
+      [ Stream_replay.Detector (Sf_order.make ()); Stream_replay.Sharded 2 ]
+  in
+  let spawn_parent =
+    [
+      Log_format.Spawn { cur = 0; child = 1; cont = 2 };
+      Sync { cur = 2; spawned_lasts = [ 1 ]; created_firsts = []; next = 3 };
+      Write { cur = 3; loc };
+    ]
+  and spawn_child =
+    [ Log_format.Write { cur = 1; loc }; Returned { cont = 2; child_last = 1 } ]
+  in
+  expect_clean "sync waits for the spawned child's return" ~parent:spawn_parent
+    ~child:spawn_child;
+  (* a serial-only detector refuses the second worker stream *)
+  (match
+     (replay
+        (Stream_replay.Detector (Sfr_detect.Multibags.make ()))
+        (image ~parent:spawn_parent ~child:spawn_child))
+       .Stream_replay.status
+   with
+  | Stream_replay.Detector_failed _ -> ()
+  | s ->
+      Alcotest.failf "multibags on two streams: %s"
+        (Stream_replay.status_to_string s));
+  expect_clean "get waits for the future's put"
+    ~parent:
+      [
+        Log_format.Create { cur = 0; child = 1; cont = 2 };
+        Get { cur = 2; put = 1; next = 3 };
+        Write { cur = 3; loc };
+      ]
+    ~child:
+      [
+        Write { cur = 1; loc };
+        Put { cur = 1 };
+        Returned { cont = 2; child_last = 1 };
+      ]
+
 (* Chaos faults at the Record / Log_flush sites abandon recordings
    mid-write; whatever ends up on disk must never crash the reader. *)
 let test_chaos_torn_logs () =
@@ -344,15 +418,22 @@ let test_chaos_torn_logs () =
               incr faulted;
               true
         in
-        match Reader.load_file path with
-        | Ok log ->
+        let v =
+          Stream_replay.run_file (Stream_replay.Detector (Sf_order.make ())) path
+        in
+        match v.Stream_replay.status with
+        | Stream_replay.Complete ->
             check Alcotest.bool "complete log is complete" false torn;
-            check Alcotest.bool "events readable" true (Reader.n_events log >= 0)
-        | Error e ->
+            check Alcotest.bool "events readable" true
+              (v.Stream_replay.events_applied >= 0)
+        | Stream_replay.Torn e ->
             check Alcotest.bool
               (Printf.sprintf "seed %d torn log is a typed error: %s" seed
                  (Log_format.error_to_string e))
-              true torn)
+              true torn
+        | st ->
+            Alcotest.failf "seed %d: torn log is not a decode error: %s" seed
+              (Stream_replay.status_to_string st))
   done;
   check Alcotest.bool "some recordings actually faulted" true (!faulted > 0)
 
@@ -377,7 +458,7 @@ let test_metrics_accounting () =
   Metrics.reset_all ();
   let t = Synthetic.generate ~seed:11 ~ops:100 ~depth:4 ~locs:6 () in
   let i = Synthetic.instantiate t in
-  let log, stats, _ =
+  let stats, log =
     record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
   in
   let get name =
@@ -387,13 +468,10 @@ let test_metrics_accounting () =
     stats.Recorder.events (get "eventlog.events");
   check Alcotest.bool "bytes_written is positive" true
     (get "eventlog.bytes_written" > 0);
-  let det = Sf_order.make () in
-  (match Replay.run_detector log det with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "replay failed: %s" (Replay.error_to_string e));
+  ignore (replay_races i.Synthetic.mem_base log);
   check Alcotest.int "replay consumed every recorded event"
     stats.Recorder.events
-    (get "eventlog.replay.events");
+    (get "eventlog.stream.events");
   Metrics.reset_all ()
 
 let test_trace_accesses_sorted () =
@@ -418,6 +496,8 @@ let () =
           Alcotest.test_case "registry workloads" `Quick test_round_trip_workloads;
           Alcotest.test_case "synthetic seeds" `Quick test_round_trip_synthetic;
           Alcotest.test_case "parallel recording" `Quick test_parallel_log_replays;
+          Alcotest.test_case "joins wait for the joined strand" `Quick
+            test_join_waits_for_end;
         ] );
       ( "shards",
         [

@@ -2,8 +2,9 @@
 
    The contract under test: (1) the frame codec round-trips and every
    malformed wire image is a typed [error], sticky, never an exception;
-   (2) a streamed session's verdict is byte-identical to offline replay
-   of the same log — reports, event counts, analyzed bytes; (3) every
+   (2) a streamed session's verdict is byte-identical to a live SF-Order
+   run of the recorded program — reports, event counts, analyzed bytes;
+   (3) every
    prefix of a stream, cut anywhere and abandoned, yields a clean
    partial verdict or a typed error and leaves the server serving;
    (4) sessions are isolated — a poisoned stream finishes with its own
@@ -19,8 +20,7 @@
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
-module Reader = Sfr_eventlog.Reader
-module Replay = Sfr_eventlog.Replay
+module Stream_replay = Sfr_eventlog.Stream_replay
 module Serial_exec = Sfr_runtime.Serial_exec
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry
@@ -71,10 +71,7 @@ let record program =
       let rec_, cb, root = Recorder.create ~path () in
       program cb root;
       let stats = Recorder.close rec_ in
-      match Reader.load_file path with
-      | Ok log -> (log, stats, read_file path)
-      | Error e ->
-          Alcotest.failf "fresh log unreadable: %s" (Log_format.error_to_string e))
+      (stats, read_file path))
 
 let serial p cb root = ignore (Serial_exec.run cb ~root p)
 
@@ -86,36 +83,45 @@ let norm base reports =
         r.Race.prev_future r.Race.cur_future r.Race.count)
     reports
 
-let offline_races base log =
+(* The reference verdict: SF-Order run live on [program]. *)
+let live_races base program =
   let det = Sf_order.make () in
-  match Replay.run_detector log det with
-  | Ok _ -> norm base (Race.reports det.Detector.races)
-  | Error e -> Alcotest.failf "offline replay failed: %s" (Replay.error_to_string e)
+  serial program det.Detector.callbacks det.Detector.root;
+  norm base (Race.reports det.Detector.races)
 
-(* A serially recorded synthetic log: its streamed verdict must be
-   byte-identical to offline replay. *)
+(* A serially recorded synthetic log, its base, and the live verdict on
+   a fresh instance of the same program: the streamed verdict must be
+   byte-identical to it. *)
 let synth_image ~seed ~ops =
   let t = Synthetic.generate ~seed ~ops ~depth:4 ~locs:8 () in
+  let live =
+    let i = Synthetic.instantiate t in
+    live_races i.Synthetic.mem_base i.Synthetic.program
+  in
   let i = Synthetic.instantiate t in
-  let log, stats, image =
+  let stats, image =
     record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
   in
-  (image, i.Synthetic.mem_base, log, stats)
+  (image, i.Synthetic.mem_base, live, stats)
 
 (* A registry workload's serial recording — the mm log is a few KiB,
    big enough to overflow the small credit windows and byte budgets the
    overload tests configure. *)
-let workload_image name ~inject_race =
+let workload_image ?(scale = Workload.Tiny) name ~inject_race =
   match
     List.find_opt (fun (w : Workload.t) -> w.Workload.name = name) Registry.all
   with
   | None -> Alcotest.failf "no %s workload registered" name
   | Some w ->
-      let i = w.Workload.instantiate ~inject_race Workload.Tiny in
-      let log, stats, image =
+      let live =
+        let i = w.Workload.instantiate ~inject_race scale in
+        live_races i.Workload.mem_base i.Workload.program
+      in
+      let i = w.Workload.instantiate ~inject_race scale in
+      let stats, image =
         record (fun cb root -> serial (fun () -> i.Workload.program ()) cb root)
       in
-      (image, i.Workload.mem_base, log, stats)
+      (image, i.Workload.mem_base, live, stats)
 
 let mk_cfg ?(session = Session.default_config) ?(budget = 4 * 1024 * 1024)
     ?(overload = Server.Shed) ?(pool = 0) ?(defer = false) () =
@@ -305,12 +311,9 @@ let test_stream_matches_offline () =
     (fun (w : Workload.t) ->
       List.iter
         (fun inject_race ->
-          let i = w.Workload.instantiate ~inject_race Workload.Tiny in
-          let log, stats, image =
-            record (fun cb root ->
-                serial (fun () -> i.Workload.program ()) cb root)
+          let image, base, offline, stats =
+            workload_image w.Workload.name ~inject_race
           in
-          let offline = offline_races i.Workload.mem_base log in
           with_server (mk_cfg ()) (fun server ->
               let c = Loopback.connect server in
               Loopback.run_log ~chaos:false c image;
@@ -320,7 +323,7 @@ let test_stream_matches_offline () =
               in
               check tcode (label "code") (expect_code offline) o.Session.code;
               check slist (label "reports") offline
-                (norm i.Workload.mem_base o.Session.reports);
+                (norm base o.Session.reports);
               check Alcotest.int (label "events") stats.Recorder.events
                 o.Session.events;
               check Alcotest.int (label "bytes") (Bytes.length image)
@@ -333,10 +336,20 @@ let test_stream_matches_offline () =
         [ false; true ])
     Registry.all
 
+(* The sw log at small scale carries enough accesses to cross several
+   8192-access shard flushes. *)
 let test_stream_matches_offline_sharded () =
-  let image, base, log, stats = synth_image ~seed:12 ~ops:200 in
-  let offline = offline_races base log in
-  let session = { Session.default_config with shards = 4; access_batch = 64 } in
+  let image, base, offline, stats =
+    workload_image ~scale:Workload.Small "sw" ~inject_race:true
+  in
+  let accesses =
+    let r = Stream_replay.create (Stream_replay.Sharded 4) in
+    Stream_replay.feed r image ~pos:0 ~len:(Bytes.length image);
+    (Stream_replay.close r).Stream_replay.accesses
+  in
+  check Alcotest.bool "log spans >= 3 shard batches" true
+    (accesses >= 3 * 8192);
+  let session = { Session.default_config with shards = 4 } in
   with_server (mk_cfg ~session ()) (fun server ->
       let c = Loopback.connect server in
       Loopback.run_log ~chaos:false c image;
@@ -350,8 +363,7 @@ let test_stream_matches_offline_sharded () =
 (* A stream cut at any byte and abandoned: clean partial verdict or a
    typed error, never a crash — and the same server keeps serving. *)
 let test_every_prefix () =
-  let image, base, log, _ = synth_image ~seed:5 ~ops:40 in
-  let offline = offline_races base log in
+  let image, base, offline, _ = synth_image ~seed:5 ~ops:40 in
   let n = Bytes.length image in
   with_server (mk_cfg ()) (fun server ->
       for p = 0 to n do
@@ -389,8 +401,7 @@ let test_every_prefix () =
 (* -- session isolation -------------------------------------------------- *)
 
 let test_isolation () =
-  let image, base, log, _ = synth_image ~seed:2 ~ops:120 in
-  let offline = offline_races base log in
+  let image, base, offline, _ = synth_image ~seed:2 ~ops:120 in
   with_server (mk_cfg ()) (fun server ->
       let a = Loopback.connect server in
       let b = Loopback.connect server in
@@ -418,8 +429,7 @@ let test_isolation () =
 (* -- credit window ------------------------------------------------------ *)
 
 let test_backpressure_bounds () =
-  let image, base, log, _ = workload_image "mm" ~inject_race:false in
-  let offline = offline_races base log in
+  let image, base, offline, _ = workload_image "mm" ~inject_race:false in
   check Alcotest.bool "fixture bigger than the window" true
     (Bytes.length image > 512);
   Metrics.reset_all ();
@@ -495,8 +505,7 @@ let test_overload_shed () =
         (o2.Session.code = Frame.Ok_clean || o2.Session.code = Frame.Ok_races))
 
 let test_overload_park () =
-  let image, base, log, _ = workload_image "mm" ~inject_race:true in
-  let offline = offline_races base log in
+  let image, base, offline, _ = workload_image "mm" ~inject_race:true in
   Metrics.reset_all ();
   with_server
     (mk_cfg ~session:overload_session ~budget:1024 ~overload:Server.Park
@@ -674,8 +683,7 @@ let test_chaos_wire_sweep () =
 (* -- acceptance soak ---------------------------------------------------- *)
 
 let test_soak () =
-  let image, base, log, stats = workload_image "mm" ~inject_race:true in
-  let offline = offline_races base log in
+  let image, base, offline, stats = workload_image "mm" ~inject_race:true in
   let window = 4096 in
   check Alcotest.bool "fixture overflows the credit window" true
     (Bytes.length image > window);

@@ -17,7 +17,6 @@
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
-module Reader = Sfr_eventlog.Reader
 module Serial_exec = Sfr_runtime.Serial_exec
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry

@@ -27,8 +27,7 @@ module Trace = Sfr_runtime.Trace
 module Chaos = Sfr_chaos.Chaos
 module Runner = Sfr_chaos_driver.Chaos_runner
 module Recorder = Sfr_eventlog.Recorder
-module Reader = Sfr_eventlog.Reader
-module Replay = Sfr_eventlog.Replay
+module Stream_replay = Sfr_eventlog.Stream_replay
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -419,15 +418,13 @@ let test_replay_vc () =
         ignore (Recorder.close recorder);
         inst.Synthetic.mem_base
       in
-      let reader =
-        match Reader.load_file path with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "log load failed: %s" (Sfr_eventlog.Log_format.error_to_string e)
-      in
       let det = Vc_order.make () in
-      (match Replay.run_detector reader det with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "replay failed: %s" (Replay.error_to_string e));
+      (match
+         (Stream_replay.run_file (Stream_replay.Detector det) path)
+           .Stream_replay.status
+       with
+      | Stream_replay.Complete -> ()
+      | s -> Alcotest.failf "replay failed: %s" (Stream_replay.status_to_string s));
       let replayed =
         List.map
           (fun (r : Race.report) ->
