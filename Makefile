@@ -1,4 +1,4 @@
-.PHONY: all build test bench profile perfdiff scaling examples replay-smoke detector-smoke om-smoke telemetry-smoke serve-smoke serve-obs-smoke clean
+.PHONY: all build test bench profile perfdiff scaling examples replay-smoke detector-smoke telemetry-smoke serve-smoke serve-obs-smoke clean
 
 all: build
 
@@ -71,21 +71,6 @@ detector-smoke:
 	  n=$$((n + 1)); \
 	done; \
 	echo "detector-smoke: $$n registered detectors ran mm/tiny clean"
-
-# The OM backend seam end to end: the list-vs-depa differential suite,
-# then a 2-domain depa scaling run perfdiffed (report-only — the depa
-# keys are new relative to the committed both-backend baseline's list
-# rows, and diff compares intersecting keys only).
-om-smoke:
-	dune build bench/main.exe test/test_depa.exe
-	dune exec test/test_depa.exe
-	@set -e; \
-	dune exec bench/main.exe -- scaling --om depa --scale tiny --repeats 2 \
-	  --domains 1,2 --scaling-out /tmp/om_scaling.json; \
-	dune exec bench/main.exe -- perfdiff BENCH_scaling.json \
-	  /tmp/om_scaling.json --report-only; \
-	rm -f /tmp/om_scaling.json; \
-	echo "om-smoke: depa differential + 2-domain depa scaling OK"
 
 telemetry-smoke:
 	dune build bin/racedetect.exe bench/main.exe

@@ -528,7 +528,6 @@ let usage () =
     \                 prof-overhead|micro|eventlog|serve|soak|all]\n\
     \                [--scale tiny|small|default|large|paper] [--repeats N]\n\
     \                [--workers P] [--seeds N] [--domains N,N,...]\n\
-    \                [--om list|depa|both]\n\
     \                [--trace-out FILE] [--telemetry-out FILE] [--sample-ms N]\n\
     \                [--profile-out FILE]\n\
     \                [--scaling-out FILE] [--no-metrics]\n\
@@ -550,7 +549,6 @@ let () =
   let profile_out = ref "BENCH_profile.json" in
   let scaling_out = ref "BENCH_scaling.json" in
   let domains = ref [ 1; 2; 4; 8 ] in
-  let om_backends = ref Sfr_om.Backend.all in
   let rec parse = function
     | [] -> ()
     | "--scale" :: s :: rest ->
@@ -604,14 +602,6 @@ let () =
         | [] -> usage ()
         | ds -> domains := ds);
         parse rest
-    | "--om" :: b :: rest ->
-        (match b with
-        | "both" -> om_backends := Sfr_om.Backend.all
-        | _ -> (
-            match Sfr_om.Backend.of_string b with
-            | Some b -> om_backends := [ b ]
-            | None -> usage ()));
-        parse rest
     | "--report-only" :: rest ->
         report_only := true;
         parse rest
@@ -640,15 +630,14 @@ let () =
     | "ablation-history" -> Figures.ablation_history ~scale ~repeats
     | "profile" -> (
         try
-          Figures.profile ~om_backends:!om_backends ~scale ~repeats
-            ~out:!profile_out
+          Figures.profile ~scale ~repeats ~out:!profile_out
         with Sys_error msg ->
           Printf.eprintf "cannot write profile: %s\n" msg;
           exit 2)
     | "scaling" -> (
         try
-          Figures.scaling ~om_backends:!om_backends ~scale ~repeats
-            ~domains:!domains ~out:!scaling_out
+          Figures.scaling ~scale ~repeats ~domains:!domains
+            ~out:!scaling_out
         with Sys_error msg ->
           Printf.eprintf "cannot write scaling results: %s\n" msg;
           exit 2)
@@ -674,38 +663,20 @@ let () =
             "ablation-history"; "eventlog"; "micro"; "prof-overhead" ]
     | _ -> usage ()
   in
-  (match !trace_out with Some _ -> Sfr_obs.Trace_event.start () | None -> ());
-  (* telemetry rides along whenever a trace is requested (counter tracks
-     in the chrome view); --telemetry-out adds the JSONL stream and the
-     utilization table on top *)
-  let telemetry_on = !telemetry_out <> None || !trace_out <> None in
-  if telemetry_on then
-    Sfr_obs.Telemetry.start ~sample_ms:!sample_ms ?out:!telemetry_out
-      ~probe:Sfr_runtime.Par_exec.probe_metrics ();
-  run !command;
-  if telemetry_on then begin
-    (* stop before the trace epilogue so the final counter events land
-       inside the written trace *)
-    Sfr_obs.Telemetry.stop ();
-    print_newline ();
-    Printf.printf "Utilization over time (%d samples, %d ms period):\n"
-      (Sfr_obs.Telemetry.sample_count ())
-      !sample_ms;
-    Format.printf "%t@?" Sfr_obs.Telemetry.pp_timeline;
-    match !telemetry_out with
-    | Some f ->
-        Printf.printf "wrote telemetry (%d samples) to %s\n"
-          (Sfr_obs.Telemetry.sample_count ())
-          f
-    | None -> ()
-  end;
-  match !trace_out with
-  | Some f -> (
-      Sfr_obs.Trace_event.stop ();
-      match Sfr_obs.Trace_event.write_file f with
-      | () ->
-          Printf.printf "wrote chrome trace to %s (load in chrome://tracing)\n" f
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write trace: %s\n" msg;
-          exit 2)
-  | None -> ()
+  let sinks =
+    {
+      Sfr_obs.Telemetry.trace_out = !trace_out;
+      telemetry_out = !telemetry_out;
+      sample_ms = !sample_ms;
+    }
+  in
+  (* --telemetry-out (or --trace-out) adds a utilization table *)
+  Sfr_obs.Telemetry.with_sinks ~probe:Sfr_runtime.Par_exec.probe_metrics
+    ~on_stop:(fun () ->
+      print_newline ();
+      Printf.printf "Utilization over time (%d samples, %d ms period):\n"
+        (Sfr_obs.Telemetry.sample_count ())
+        !sample_ms;
+      Format.printf "%t@?" Sfr_obs.Telemetry.pp_timeline)
+    sinks
+    (fun () -> run !command)

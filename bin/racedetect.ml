@@ -60,9 +60,43 @@ let resolve_detector s =
         Printf.eprintf "%s" (Detectors.unknown s);
         exit 2
 
-let detector_doc =
-  "Detector name (see $(b,racedetect detectors)); $(b,help) prints the \
-   registry listing."
+(* -d/--detector, shared by every subcommand that runs a detector;
+   [extra_doc] appends a subcommand-specific sentence. *)
+let detector_term ?(extra_doc = "") () =
+  Arg.(
+    value
+    & opt string "sf-order"
+    & info [ "d"; "detector" ] ~docv:"NAME"
+        ~doc:
+          ("Detector name (see $(b,racedetect detectors)); $(b,help) prints \
+            the registry listing." ^ extra_doc))
+
+(* --trace-out / --telemetry-out / --sample-ms, shared by the entry
+   points that arm observability sinks (see Telemetry.with_sinks). *)
+let sinks_term ~trace_doc ~telemetry_doc =
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE" ~doc:trace_doc)
+  in
+  let telemetry_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "telemetry-out" ] ~docv:"FILE" ~doc:telemetry_doc)
+  in
+  let sample_ms =
+    Arg.(
+      value
+      & opt int Sfr_obs.Telemetry.default_sample_ms
+      & info [ "sample-ms" ] ~docv:"MS"
+          ~doc:"Telemetry sampling period in milliseconds.")
+  in
+  Term.(
+    const (fun trace_out telemetry_out sample_ms ->
+        { Sfr_obs.Telemetry.trace_out; telemetry_out; sample_ms })
+    $ trace_out $ telemetry_out $ sample_ms)
 
 (* A registry entry may cap the workload scale it is practical at. *)
 let check_scale_ceiling (e : Detectors.entry) scale =
@@ -85,26 +119,6 @@ let scale_conv =
         | Some sc -> Ok sc
         | None -> Error (`Msg (Printf.sprintf "unknown scale %S" s))),
       fun ppf s -> Workload.pp_scale ppf s )
-
-(* The OM backend flag shared by the subcommands that build online
-   detectors. It sets the process-wide default before detector
-   construction, so registry-made detectors (zero-argument [make]
-   functions) pick the backend up without threading a parameter through
-   every entry. *)
-let om_term =
-  Arg.(
-    value
-    & opt (some (enum [ ("list", `List); ("depa", `Depa) ])) None
-    & info [ "om" ] ~docv:"BACKEND"
-        ~doc:
-          "Order-maintenance backend for the English/Hebrew lists: \
-           $(b,list) (two-level Dietz-Sleator list, the default) or \
-           $(b,depa) (DePa fork-path labels, no relabel phase). Race \
-           reports are backend-invariant.")
-
-let apply_om = function
-  | Some b -> Sfr_om.Backend.set_default b
-  | None -> ()
 
 (* Race-report rendering shared by live detection and offline replay, so
    their outputs diff cleanly; returns the racy-location count. *)
@@ -169,12 +183,7 @@ let run_cmd =
       & opt (some string) None
       & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Benchmark name (see list).")
   in
-  let detector =
-    Arg.(
-      value
-      & opt string "sf-order"
-      & info [ "d"; "detector" ] ~docv:"NAME" ~doc:detector_doc)
-  in
+  let detector = detector_term () in
   let scale =
     Arg.(
       value
@@ -208,12 +217,13 @@ let run_cmd =
       & info [ "stats" ]
           ~doc:"Print the detector's metric counters after the run.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write a chrome://tracing JSON of the execution to $(docv).")
+  let sinks =
+    sinks_term
+      ~trace_doc:"Write a chrome://tracing JSON of the execution to $(docv)."
+      ~telemetry_doc:
+        "Sample continuous telemetry (metric deltas, scheduler probes, GC) \
+         during the run and stream it as JSONL to $(docv). See \
+         $(b,telemetry-lint) for validation."
   in
   let flight_dump =
     Arg.(
@@ -226,26 +236,8 @@ let run_cmd =
              on; this asks for the window of a healthy run (crashes dump it \
              automatically).")
   in
-  let telemetry_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry-out" ] ~docv:"FILE"
-          ~doc:
-            "Sample continuous telemetry (metric deltas, scheduler probes, \
-             GC) during the run and stream it as JSONL to $(docv). See \
-             $(b,telemetry-lint) for validation.")
-  in
-  let sample_ms =
-    Arg.(
-      value
-      & opt int Sfr_obs.Telemetry.default_sample_ms
-      & info [ "sample-ms" ] ~docv:"MS"
-          ~doc:"Telemetry sampling period in milliseconds.")
-  in
   let run workload detector scale executor workers inject no_verify
-      check_discipline stats trace_out flight_dump telemetry_out sample_ms om =
-    apply_om om;
+      check_discipline stats sinks flight_dump =
     let entry = resolve_detector detector in
     match Registry.find workload with
     | None ->
@@ -276,48 +268,22 @@ let run_cmd =
               ( Events.pair d.Discipline.callbacks det.Detector.callbacks,
                 Events.Pair_state (d.Discipline.root, det.Detector.root) )
         in
-        if trace_out <> None then Sfr_obs.Trace_event.start ();
-        (* telemetry rides along whenever a trace is requested, so the
-           chrome view always gains counter tracks; --telemetry-out adds
-           the JSONL stream on top *)
-        let telemetry_on = telemetry_out <> None || trace_out <> None in
-        if telemetry_on then
-          Sfr_obs.Telemetry.start ~sample_ms ?out:telemetry_out
-            ~probe:Par_exec.probe_metrics ();
         (* latency histograms only fill while profiling is on; --stats is
            the request to see them *)
         if stats then Sfr_obs.Prof.enable ();
         let (), dt =
-          Stats.time (fun () ->
-              match executor with
-              | `Serial ->
-                  Serial_exec.run callbacks ~root inst.Workload.program |> fst
-              | `Parallel ->
-                  Par_exec.run ~workers callbacks ~root inst.Workload.program
-                  |> fst)
+          Sfr_obs.Telemetry.with_sinks ~probe:Par_exec.probe_metrics sinks
+            (fun () ->
+              Stats.time (fun () ->
+                  match executor with
+                  | `Serial ->
+                      Serial_exec.run callbacks ~root inst.Workload.program
+                      |> fst
+                  | `Parallel ->
+                      Par_exec.run ~workers callbacks ~root
+                        inst.Workload.program
+                      |> fst))
         in
-        (* stop telemetry before the trace is written: the final sample's
-           counter events must land inside the trace buffer *)
-        if telemetry_on then begin
-          Sfr_obs.Telemetry.stop ();
-          match telemetry_out with
-          | Some f ->
-              Printf.printf "wrote telemetry (%d samples) to %s\n"
-                (Sfr_obs.Telemetry.sample_count ())
-                f
-          | None -> ()
-        end;
-        (match trace_out with
-        | Some f -> (
-            Sfr_obs.Trace_event.stop ();
-            match Sfr_obs.Trace_event.write_file f with
-            | () ->
-                Printf.printf
-                  "wrote chrome trace to %s (load in chrome://tracing)\n" f
-            | exception Sys_error msg ->
-                Printf.eprintf "cannot write trace: %s\n" msg;
-                exit 2)
-        | None -> ());
         (match flight_dump with
         | Some f -> (
             match Sfr_obs.Flight.write_chrome f with
@@ -359,8 +325,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ workload $ detector $ scale $ executor $ workers $ inject
-      $ no_verify $ check_discipline $ stats $ trace_out $ flight_dump
-      $ telemetry_out $ sample_ms $ om_term)
+      $ no_verify $ check_discipline $ stats $ sinks $ flight_dump)
 
 (* -- metrics-dump / telemetry-lint -------------------------------------- *)
 
@@ -608,14 +573,11 @@ let replay_cmd =
       required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Event log.")
   in
   let detector =
-    Arg.(
-      value
-      & opt string "sf-order"
-      & info [ "d"; "detector" ] ~docv:"NAME"
-          ~doc:
-            (detector_doc
-           ^ " Serial-only detectors accept single-worker logs; --shards \
-              requires a shardable one."))
+    detector_term
+      ~extra_doc:
+        " Serial-only detectors accept single-worker logs; --shards \
+         requires a shardable one."
+      ()
   in
   let shards =
     Arg.(
@@ -638,8 +600,7 @@ let replay_cmd =
       value & flag
       & info [ "no-verify" ] ~doc:"Exit 0 even when races are reported.")
   in
-  let run file detector shards stats no_verify om =
-    apply_om om;
+  let run file detector shards stats no_verify =
     let entry = resolve_detector detector in
     let mode =
       match shards with
@@ -693,7 +654,7 @@ let replay_cmd =
     if racy > 0 && not no_verify then exit 1
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ file $ detector $ shards $ stats $ no_verify $ om_term)
+    Term.(const run $ file $ detector $ shards $ stats $ no_verify)
 
 let analyze_cmd =
   let doc = "Offline analysis of a recorded sfdag trace: races, work/span, speedups." in
@@ -766,12 +727,7 @@ let synth_cmd =
   let locs =
     Arg.(value & opt int 16 & info [ "locs" ] ~doc:"Shared locations.")
   in
-  let detector =
-    Arg.(
-      value
-      & opt string "sf-order"
-      & info [ "d"; "detector" ] ~docv:"NAME" ~doc:detector_doc)
-  in
+  let detector = detector_term () in
   let oracle =
     Arg.(
       value & flag
@@ -791,8 +747,7 @@ let synth_cmd =
       & info [ "stats" ]
           ~doc:"Print the detector's metric counters after the run.")
   in
-  let run seed ops depth locs detector oracle no_verify stats om =
-    apply_om om;
+  let run seed ops depth locs detector oracle no_verify stats =
     let entry = resolve_detector detector in
     let t = Synthetic.generate ~seed ~ops ~depth ~locs () in
     let n_ops, futures, gets = Synthetic.stats t in
@@ -825,7 +780,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const run $ seed $ ops $ depth $ locs $ detector $ oracle $ no_verify
-      $ stats $ om_term)
+      $ stats)
 
 (* -- chaos -------------------------------------------------------------- *)
 
@@ -845,12 +800,7 @@ let chaos_cmd =
   in
   let depth = Arg.(value & opt int 4 & info [ "depth" ] ~doc:"Nesting depth.") in
   let locs = Arg.(value & opt int 6 & info [ "locs" ] ~doc:"Shared locations.") in
-  let detector =
-    Arg.(
-      value
-      & opt string "sf-order"
-      & info [ "d"; "detector" ] ~docv:"NAME" ~doc:detector_doc)
-  in
+  let detector = detector_term () in
   let oracle =
     Arg.(
       value
@@ -896,8 +846,7 @@ let chaos_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print chaos metric counters.")
   in
   let run seeds base_seed ops depth locs detector oracle workers no_chaos
-      fault_rate shrink out stats om =
-    apply_om om;
+      fault_rate shrink out stats =
     let module Chaos = Sfr_chaos.Chaos in
     let module Runner = Sfr_chaos_driver.Chaos_runner in
     let entry = resolve_detector detector in
@@ -968,7 +917,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ seeds $ base_seed $ ops $ depth $ locs $ detector $ oracle
-      $ workers $ no_chaos $ fault_rate $ shrink $ out $ stats $ om_term)
+      $ workers $ no_chaos $ fault_rate $ shrink $ out $ stats)
 
 (* -- detectors ---------------------------------------------------------- *)
 
@@ -1109,34 +1058,18 @@ let serve_cmd =
              timeout, disconnect, verdict) to $(docv). See \
              $(b,audit-lint) for validation.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a chrome://tracing JSON of the daemon's lifetime to \
-             $(docv): per-session lifecycle spans (hello to verdict) \
-             over the per-domain decode/ingest work spans.")
-  in
-  let telemetry_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry-out" ] ~docv:"FILE"
-          ~doc:
-            "Sample continuous telemetry during serving and stream it as \
-             JSONL to $(docv). See $(b,telemetry-lint) for validation.")
-  in
-  let sample_ms =
-    Arg.(
-      value
-      & opt int Sfr_obs.Telemetry.default_sample_ms
-      & info [ "sample-ms" ] ~docv:"MS"
-          ~doc:"Telemetry sampling period in milliseconds.")
+  let sinks =
+    sinks_term
+      ~trace_doc:
+        "Write a chrome://tracing JSON of the daemon's lifetime to $(docv): \
+         per-session lifecycle spans (hello to verdict) over the per-domain \
+         decode/ingest work spans."
+      ~telemetry_doc:
+        "Sample continuous telemetry during serving and stream it as JSONL \
+         to $(docv). See $(b,telemetry-lint) for validation."
   in
   let run socket tcp budget overload credit_window deadline_ms idle_ms shards
-      pool max_sessions stats audit_out trace_out telemetry_out sample_ms =
+      pool max_sessions stats audit_out sinks =
     let addr =
       match addr_of ~socket ~tcp with
       | Ok a -> a
@@ -1163,131 +1096,110 @@ let serve_cmd =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* observability sinks arm before the first accept so session 0's
        whole lifecycle is covered *)
-    if trace_out <> None then Sfr_obs.Trace_event.start ();
-    let telemetry_on = telemetry_out <> None || trace_out <> None in
-    if telemetry_on then
-      Sfr_obs.Telemetry.start ~sample_ms ?out:telemetry_out ();
-    (match audit_out with
-    | None -> ()
-    | Some f -> (
-        try Sfr_serve.Audit.open_sink ~path:f ()
-        with Sys_error msg ->
-          Printf.eprintf "cannot open audit log: %s\n" msg;
-          exit 2));
-    let cfg =
-      {
-        Serve.session =
+    let outcomes, fatal =
+      Sfr_obs.Telemetry.with_sinks sinks (fun () ->
+        (match audit_out with
+        | None -> ()
+        | Some f -> (
+            try Sfr_serve.Audit.open_sink ~path:f ()
+            with Sys_error msg ->
+              Printf.eprintf "cannot open audit log: %s\n" msg;
+              exit 2));
+        let cfg =
           {
-            Serve_session.credit_window;
-            deadline_ms;
-            idle_ms;
-            shards;
-          };
-        global_budget = budget;
-        overload;
-        pool_domains = pool;
-        defer_ingest = false;
-      }
+            Serve.session =
+              {
+                Serve_session.credit_window;
+                deadline_ms;
+                idle_ms;
+                shards;
+              };
+            global_budget = budget;
+            overload;
+            pool_domains = pool;
+            defer_ingest = false;
+          }
+        in
+        let server = Serve.create cfg in
+        Printf.printf "serving on %s (budget %dB, %s, pool %d)\n%!"
+          (match addr with
+          | Unix.ADDR_UNIX p -> p
+          | Unix.ADDR_INET (_, port) -> Printf.sprintf "tcp:%d" port)
+          budget
+          (Serve.overload_to_string overload)
+          pool;
+        let clients : (Unix.file_descr, Serve.conn) Hashtbl.t = Hashtbl.create 16 in
+        let buf = Bytes.create 65536 in
+        let running = ref true in
+        let fatal = ref None in
+        (try
+           while !running do
+             (* The session limit counts connections that can still produce
+                outcomes (live ones) plus outcomes already latched — an
+                admin probe connects, answers, disconnects, and frees its
+                slot without ever counting as served. *)
+             let accepting =
+               match max_sessions with
+               | Some m ->
+                   Hashtbl.length clients + List.length (Serve.outcomes server)
+                   < m
+               | None -> true
+             in
+             let fds =
+               (if accepting then [ listen_fd ] else [])
+               @ Hashtbl.fold (fun fd _ acc -> fd :: acc) clients []
+             in
+             let readable, _, _ =
+               match Unix.select fds [] [] 0.05 with
+               | r -> r
+               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+             in
+             List.iter
+               (fun fd ->
+                 if fd = listen_fd then begin
+                   let cfd, _ = Unix.accept listen_fd in
+                   let conn = Serve.connect server ~send:(write_all cfd) in
+                   Hashtbl.replace clients cfd conn
+                 end
+                 else
+                   match Hashtbl.find_opt clients fd with
+                   | None -> ()
+                   | Some conn -> (
+                       match Unix.read fd buf 0 (Bytes.length buf) with
+                       | 0 | (exception Unix.Unix_error _) ->
+                           Hashtbl.remove clients fd;
+                           (try Unix.close fd with Unix.Unix_error _ -> ());
+                           Serve.on_disconnect server conn
+                       | n -> Serve.on_bytes server conn buf ~pos:0 ~len:n))
+               readable;
+             Serve.tick server;
+             (match max_sessions with
+             | Some m when List.length (Serve.outcomes server) >= m ->
+                 running := false
+             | _ -> ())
+           done
+         with e ->
+           Sfr_obs.Flight.crash_dump
+             ~reason:(Printf.sprintf "serve: %s" (Printexc.to_string e));
+           fatal := Some (Printexc.to_string e));
+        Serve.quiesce server;
+        Serve.shutdown server;
+        Hashtbl.iter
+          (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
+          clients;
+        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+        (match addr with
+        | Unix.ADDR_UNIX path when Sys.file_exists path -> (
+            try Unix.unlink path with Unix.Unix_error _ -> ())
+        | _ -> ());
+        (match audit_out with
+        | None -> ()
+        | Some f ->
+            let n = Sfr_serve.Audit.record_count () in
+            Sfr_serve.Audit.close_sink ();
+            Printf.printf "wrote audit log (%d records) to %s\n" n f);
+        (Serve.outcomes server, !fatal))
     in
-    let server = Serve.create cfg in
-    Printf.printf "serving on %s (budget %dB, %s, pool %d)\n%!"
-      (match addr with
-      | Unix.ADDR_UNIX p -> p
-      | Unix.ADDR_INET (_, port) -> Printf.sprintf "tcp:%d" port)
-      budget
-      (Serve.overload_to_string overload)
-      pool;
-    let clients : (Unix.file_descr, Serve.conn) Hashtbl.t = Hashtbl.create 16 in
-    let buf = Bytes.create 65536 in
-    let running = ref true in
-    let fatal = ref None in
-    (try
-       while !running do
-         (* The session limit counts connections that can still produce
-            outcomes (live ones) plus outcomes already latched — an
-            admin probe connects, answers, disconnects, and frees its
-            slot without ever counting as served. *)
-         let accepting =
-           match max_sessions with
-           | Some m ->
-               Hashtbl.length clients + List.length (Serve.outcomes server)
-               < m
-           | None -> true
-         in
-         let fds =
-           (if accepting then [ listen_fd ] else [])
-           @ Hashtbl.fold (fun fd _ acc -> fd :: acc) clients []
-         in
-         let readable, _, _ =
-           match Unix.select fds [] [] 0.05 with
-           | r -> r
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-         in
-         List.iter
-           (fun fd ->
-             if fd = listen_fd then begin
-               let cfd, _ = Unix.accept listen_fd in
-               let conn = Serve.connect server ~send:(write_all cfd) in
-               Hashtbl.replace clients cfd conn
-             end
-             else
-               match Hashtbl.find_opt clients fd with
-               | None -> ()
-               | Some conn -> (
-                   match Unix.read fd buf 0 (Bytes.length buf) with
-                   | 0 | (exception Unix.Unix_error _) ->
-                       Hashtbl.remove clients fd;
-                       (try Unix.close fd with Unix.Unix_error _ -> ());
-                       Serve.on_disconnect server conn
-                   | n -> Serve.on_bytes server conn buf ~pos:0 ~len:n))
-           readable;
-         Serve.tick server;
-         (match max_sessions with
-         | Some m when List.length (Serve.outcomes server) >= m ->
-             running := false
-         | _ -> ())
-       done
-     with e ->
-       Sfr_obs.Flight.crash_dump
-         ~reason:(Printf.sprintf "serve: %s" (Printexc.to_string e));
-       fatal := Some (Printexc.to_string e));
-    Serve.quiesce server;
-    Serve.shutdown server;
-    Hashtbl.iter
-      (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-      clients;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    (match addr with
-    | Unix.ADDR_UNIX path when Sys.file_exists path -> (
-        try Unix.unlink path with Unix.Unix_error _ -> ())
-    | _ -> ());
-    (match audit_out with
-    | None -> ()
-    | Some f ->
-        let n = Sfr_serve.Audit.record_count () in
-        Sfr_serve.Audit.close_sink ();
-        Printf.printf "wrote audit log (%d records) to %s\n" n f);
-    (* telemetry stops before the trace is written so the final sample's
-       counter events land inside the trace buffer, as `run` *)
-    if telemetry_on then begin
-      Sfr_obs.Telemetry.stop ();
-      match telemetry_out with
-      | Some f ->
-          Printf.printf "wrote telemetry (%d samples) to %s\n"
-            (Sfr_obs.Telemetry.sample_count ())
-            f
-      | None -> ()
-    end;
-    (match trace_out with
-    | Some f -> (
-        Sfr_obs.Trace_event.stop ();
-        match Sfr_obs.Trace_event.write_file f with
-        | () -> Printf.printf "wrote chrome trace to %s\n" f
-        | exception Sys_error msg ->
-            Printf.eprintf "cannot write trace: %s\n" msg;
-            exit 2)
-    | None -> ());
-    let outcomes = Serve.outcomes server in
     List.iter
       (fun (o : Serve_session.outcome) ->
         Printf.printf
@@ -1310,7 +1222,7 @@ let serve_cmd =
               (fun (n, _) -> String.length n >= 5 && String.sub n 0 5 = "serve")
               (Sfr_obs.Metrics.snapshot ())))
     end;
-    match !fatal with
+    match fatal with
     | Some msg ->
         Printf.eprintf "FATAL: %s\n" msg;
         exit 2
@@ -1326,7 +1238,7 @@ let serve_cmd =
     Term.(
       const run $ socket $ tcp $ budget $ overload $ credit_window
       $ deadline_ms $ idle_ms $ shards $ pool $ max_sessions $ stats
-      $ audit_out $ trace_out $ telemetry_out $ sample_ms)
+      $ audit_out $ sinks)
 
 (* One stress-client session: its own socket, its own behaviour mode. *)
 type stress_mode = M_healthy | M_torn | M_over_budget | M_idle

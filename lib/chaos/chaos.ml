@@ -26,12 +26,11 @@ type site =
   | Record
   | Log_flush
   | Wire
-  | Label_extend
 
 let all_sites =
   [
     Spawn; Create; Get; Sync; Steal; Lock_acquire; Relabel; Task; Record;
-    Log_flush; Wire; Label_extend;
+    Log_flush; Wire;
   ]
 
 let nsites = List.length all_sites
@@ -48,7 +47,6 @@ let site_index = function
   | Record -> 8
   | Log_flush -> 9
   | Wire -> 10
-  | Label_extend -> 11
 
 let site_name = function
   | Spawn -> "spawn"
@@ -62,7 +60,6 @@ let site_name = function
   | Record -> "record"
   | Log_flush -> "log_flush"
   | Wire -> "wire"
-  | Label_extend -> "label_extend"
 
 type action = Pass | Yield | Delay of int | Fault | Force_steal
 

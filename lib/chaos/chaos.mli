@@ -39,11 +39,6 @@ type site =
   | Wire
       (** a protocol frame is crossing a (loopback) transport — decided
           through {!wire_fault}, not {!point} *)
-  | Label_extend
-      (** a DePa OM label spilled its bit path to a heap array — the
-          label-extension window, the {!Depa} backend's analogue of the
-          list backend's {!Relabel} window (perturb-only site: it sits
-          inside the per-list mutation lock) *)
 
 val all_sites : site list
 val site_name : site -> string
@@ -65,13 +60,13 @@ type config = {
       (** P({!wire_fault} mangles a frame); 0 in the default configs *)
   max_delay_spins : int;  (** upper bound on one delay's spin count *)
   fault_sites : site list;
-      (** sites where [Fault] may fire. Keep {!Steal}, {!Lock_acquire},
-          {!Relabel} and {!Label_extend} out of this list: those points sit
-          inside scheduler loops or critical sections where a synthetic
-          raise would test the injector, not the system. {!Record} and {!Log_flush} are valid
-          fault sites: a raise there abandons an event-log mid-write,
-          which is exactly how the torn/truncated-log corpus for
-          {!Sfr_eventlog.Stream_replay} is produced. *)
+      (** sites where [Fault] may fire. Keep {!Steal}, {!Lock_acquire}
+          and {!Relabel} out of this list: those points sit inside
+          scheduler loops or critical sections where a synthetic raise
+          would test the injector, not the system. {!Record} and
+          {!Log_flush} are valid fault sites: a raise there abandons an
+          event-log mid-write, which is exactly how the torn/truncated-log
+          corpus for {!Sfr_eventlog.Stream_replay} is produced. *)
   max_faults : int;  (** cap on faults raised per armed campaign *)
 }
 

@@ -15,10 +15,4 @@
     The access history keeps all readers between writes — general futures
     admit no 2k bound (paper Section 3.5). *)
 
-val make :
-  ?history:Access_history.sync_mode ->
-  ?om:Sfr_om.Backend.name ->
-  unit ->
-  Detector.t
-(** [om] selects the order-maintenance backend (default: the
-    process-wide {!Sfr_om.Backend.default}). *)
+val make : ?history:Access_history.sync_mode -> unit -> Detector.t

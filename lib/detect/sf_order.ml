@@ -80,8 +80,8 @@ let cp_append store eng ~parent_fid =
       fid
 
 let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Mutex)
-    ?(fast = true) ?om () =
-  let spo, root_pos = Sp_order.create ?backend:om () in
+    ?(fast = true) () =
+  let spo, root_pos = Sp_order.create () in
   let eng =
     Fp_sets.create (match sets with `Bitmap -> Fp_sets.Bitmap | `Hashed -> Fp_sets.Hashed)
   in
@@ -232,7 +232,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Mutex)
   },
     fun u v -> precedes (as_sf u) (as_sf v) )
 
-let make ?readers ?sets ?history ?fast ?om () =
-  fst (make_with_precedes ?readers ?sets ?history ?fast ?om ())
+let make ?readers ?sets ?history ?fast () =
+  fst (make_with_precedes ?readers ?sets ?history ?fast ())
 
 let strand_future st = (as_sf st).fid

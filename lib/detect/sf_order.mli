@@ -44,20 +44,16 @@ val make :
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
   ?fast:bool ->
-  ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t
 (** Defaults: [`All] readers, [`Bitmap] sets, [`Mutex] history,
-    [~fast:true]. [om] selects the order-maintenance backend for the
-    English/Hebrew lists (default: the process-wide
-    {!Sfr_om.Backend.default}); reports are backend-invariant. *)
+    [~fast:true]. *)
 
 val make_with_precedes :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
   ?fast:bool ->
-  ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t * (Sfr_runtime.Events.state -> Sfr_runtime.Events.state -> bool)
 (** The detector plus its raw [Precedes] query over strand states (for

@@ -443,16 +443,7 @@ let profile_cols () =
     (fun (e : Detectors.entry) -> (e.Detectors.name, e.Detectors.make))
     (Detectors.all ())
 
-(* The OM A/B rows: the two OM-based detectors pinned to the DePa
-   backend, keyed "+depa" so the registry-named list rows keep their
-   historical perfdiff series. *)
-let depa_cols =
-  [
-    ("sf-order+depa", fun () -> Sf_order.make ~om:`Depa ());
-    ("f-order+depa", fun () -> F_order.make ~om:`Depa ());
-  ]
-
-let profile ~om_backends ~scale ~repeats ~out =
+let profile ~scale ~repeats ~out =
   Format.printf
     "Profile: per-configuration metric snapshots (full detection) -> %s@." out;
   (* latency histograms (prof.*.ns) only fill while profiling is on; the
@@ -470,10 +461,7 @@ let profile ~om_backends ~scale ~repeats ~out =
         ("metrics", Tablefmt.Right);
       ]
   in
-  let cols =
-    (if List.mem `List om_backends then profile_cols () else [])
-    @ if List.mem `Depa om_backends then depa_cols else []
-  in
+  let cols = profile_cols () in
   let entries = ref [] in
   List.iter
     (fun (w : Workload.t) ->
@@ -519,11 +507,11 @@ let profile ~om_backends ~scale ~repeats ~out =
    runs on the work-stealing executor — the numbers that move when the
    synchronization hot paths change: stripe-lock contention, CAS retries
    under the lock-free history, cp-container growth. *)
-let scaling ~om_backends ~scale ~repeats ~domains ~out =
+let scaling ~scale ~repeats ~domains ~out =
   Format.printf
     "Domain scaling: measured wall-clock per domain count (work-stealing \
      executor, %d hardware core(s) available), full SF-Order detection \
-     plus reach-only, per OM backend, with contention counters -> %s@."
+     plus reach-only, with contention counters -> %s@."
     (Domain.recommended_domain_count ())
     out;
   let t =
@@ -537,7 +525,6 @@ let scaling ~om_backends ~scale ~repeats ~domains ~out =
         ("lock cont.", Tablefmt.Right);
         ("cas retry", Tablefmt.Right);
         ("om relabels", Tablefmt.Right);
-        ("depa spills", Tablefmt.Right);
         ("table words", Tablefmt.Right);
       ]
   in
@@ -576,22 +563,13 @@ let scaling ~om_backends ~scale ~repeats ~domains ~out =
                   Tablefmt.cell_int_compact (metric m "history.lock.contended");
                   Tablefmt.cell_int_compact (metric m "history.cas.retry");
                   Tablefmt.cell_int_compact (metric m "om.relabels");
-                  Tablefmt.cell_int_compact (metric m "om.depa.heap_spills");
                   Tablefmt.cell_int_compact (metric m "reach.table.alloc_words");
                 ])
             domains)
-        (List.concat_map
-           (fun b ->
-             (* list-backend keys keep their historical spelling so the
-                committed baseline's perfdiff series are unbroken *)
-             let tag =
-               match b with `List -> "" | `Depa -> "+depa"
-             in
-             [
-               ("reach" ^ tag, Runner.Reach (fun () -> Sf_order.make ~om:b ()));
-               ("full" ^ tag, Runner.Full (fun () -> Sf_order.make ~om:b ()));
-             ])
-           om_backends);
+        [
+          ("reach", Runner.Reach (fun () -> Sf_order.make ()));
+          ("full", Runner.Full (fun () -> Sf_order.make ()));
+        ];
       Tablefmt.add_separator t)
     Registry.all;
   let result =

@@ -42,27 +42,22 @@ val ablation_sets : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 val ablation_readers : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 
 val scaling :
-  om_backends:Sfr_om.Backend.name list ->
   scale:Sfr_workloads.Workload.scale ->
   repeats:int ->
   domains:int list ->
   out:string ->
   unit
 (** Measured (not simulated) multicore runs: every workload × {reach,
-    full} SF-Order configuration × OM backend on the work-stealing
-    executor for each domain count in [domains], written to [out] as a
-    {!Bench_schema} v2 file whose detector keys are
-    ["sf-order-<config>@d<domains>"] for the list backend and
-    ["sf-order-<config>+depa@d<domains>"] for DePa ([om_backends]
-    selects which run). The printed table adds speedup vs the first
-    domain count and the synchronization counters the hot-path
-    optimizations target ([history.lock.contended], [history.cas.retry],
-    [om.relabels] vs [om.depa.heap_spills] — the backend A/B contrast —
-    and [reach.table.alloc_words]). Wall-clock speedup needs as many
+    full} SF-Order configuration on the work-stealing executor for each
+    domain count in [domains], written to [out] as a {!Bench_schema} v2
+    file whose detector keys are ["sf-order-<config>@d<domains>"]. The
+    printed table adds speedup vs the first domain count and the
+    synchronization counters the hot-path optimizations target
+    ([history.lock.contended], [history.cas.retry], [om.relabels] and
+    [reach.table.alloc_words]). Wall-clock speedup needs as many
     hardware cores as domains; the counters are meaningful regardless. *)
 
 val profile :
-  om_backends:Sfr_om.Backend.name list ->
   scale:Sfr_workloads.Workload.scale ->
   repeats:int ->
   out:string ->
@@ -72,8 +67,6 @@ val profile :
     median/MAD over the measured repeats (one warmup excluded), and each
     run's {!Sfr_obs.Metrics} snapshot — including the [prof.*.ns] latency
     histograms, since profiling is enabled for the duration, and [gc.*]
-    allocation deltas. Including [`Depa] in [om_backends] adds the A/B
-    rows ["sf-order+depa"] / ["f-order+depa"] next to the registry-named
-    list-backend detectors. The cross-PR trajectory artifact behind
+    allocation deltas. The cross-commit trajectory artifact behind
     [bench profile] and the input format of [bench perfdiff]. Also prints
     a summary table. *)

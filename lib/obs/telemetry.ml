@@ -279,6 +279,47 @@ let samples () =
 let sample_count () =
   match with_ring (fun t -> [ t.wseq ]) with [ n ] -> n | _ -> 0
 
+(* -- command-line sinks --------------------------------------------------- *)
+
+type sinks = {
+  trace_out : string option;
+  telemetry_out : string option;
+  sample_ms : int;
+}
+
+let with_sinks ?probe ?(on_stop = ignore) s f =
+  if s.trace_out <> None then Trace_event.start ();
+  (* telemetry rides along whenever a trace is requested, so the chrome
+     view always gains counter tracks; [telemetry_out] adds the JSONL
+     stream on top *)
+  let telemetry_on = s.telemetry_out <> None || s.trace_out <> None in
+  if telemetry_on then
+    start ~sample_ms:s.sample_ms ?out:s.telemetry_out ?probe ();
+  let r = f () in
+  (* stop telemetry before the trace is written: the final sample's
+     counter events must land inside the trace buffer *)
+  if telemetry_on then begin
+    stop ();
+    on_stop ();
+    Option.iter
+      (fun f ->
+        Printf.printf "wrote telemetry (%d samples) to %s\n"
+          (sample_count ()) f)
+      s.telemetry_out
+  end;
+  (match s.trace_out with
+  | None -> ()
+  | Some f -> (
+      Trace_event.stop ();
+      match Trace_event.write_file f with
+      | () ->
+          Printf.printf "wrote chrome trace to %s (load in chrome://tracing)\n"
+            f
+      | exception Sys_error msg ->
+          Printf.eprintf "cannot write trace: %s\n" msg;
+          exit 2));
+  r
+
 (* -- Prometheus text exposition ----------------------------------------- *)
 
 (* https://prometheus.io/docs/instrumenting/exposition_formats/ — the

@@ -109,6 +109,31 @@ val pp_timeline : Format.formatter -> unit
 (** Render the retained ring as a utilization-over-time table (tasks/s,
     steals/s, deque depth, GC heap words, marks). *)
 
+(** {1 Command-line sinks} *)
+
+type sinks = {
+  trace_out : string option;  (** chrome://tracing JSON path *)
+  telemetry_out : string option;  (** JSONL telemetry stream path *)
+  sample_ms : int;  (** telemetry sampling period *)
+}
+(** The [--trace-out] / [--telemetry-out] / [--sample-ms] flags that
+    every instrumented entry point accepts. *)
+
+val with_sinks :
+  ?probe:(unit -> (string * int) list) ->
+  ?on_stop:(unit -> unit) ->
+  sinks ->
+  (unit -> 'a) ->
+  'a
+(** [with_sinks s f] arms the requested sinks, runs [f], then finalizes
+    them: {!Trace_event} collection starts when [trace_out] is set, and
+    the sampler ({!start}, with [probe]) whenever either path is set, so
+    a trace always carries counter tracks. After [f] the sampler stops
+    first — its final counter events land inside the trace — then
+    [on_stop] runs (e.g. to print {!pp_timeline}), and each written file
+    is announced on stdout. A trace that cannot be written prints
+    [cannot write trace: …] on stderr and exits 2. *)
+
 (** {1 Wire formats} *)
 
 val sample_to_json : sample -> string

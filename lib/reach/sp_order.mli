@@ -22,36 +22,10 @@
     positions of the SP parse tree and is differential-tested against
     ground-truth PSP reachability.
 
-    Thread safety: the underlying OM lists serialize mutations and make
-    queries safe against concurrent inserts (seqlock validation for the
-    list backend, immutable labels for DePa); the relative order of
-    already-inserted strands never changes, so [precedes] is
-    linearizable.
-
-    Backends: the construction is a functor {!Make} over
-    {!Sfr_om.Om_intf.S}, instantiated once per registered OM backend.
-    The top-level API dispatches on {!Sfr_om.Backend.name} so detector
-    strand records hold one [pos] type regardless of backend; mixing
-    positions across structures of different backends raises
-    [Invalid_argument]. *)
-
-(** The WSP-Order construction over an arbitrary OM backend. *)
-module Make (Om : Sfr_om.Om_intf.S) : sig
-  type t
-  type pos
-  type block
-
-  val create : unit -> t * pos
-  val spawn : t -> cur:pos -> block:block option -> pos * pos * block
-  val sync : t -> cur:pos -> block:block option -> pos
-  val step : t -> cur:pos -> pos
-  val precedes : t -> pos -> pos -> bool
-  val parallel : t -> pos -> pos -> bool
-  val size : t -> int
-  val words : t -> int
-  val eng_precedes : t -> pos -> pos -> bool
-  val heb_precedes : t -> pos -> pos -> bool
-end
+    Thread safety: the underlying {!Sfr_om.Om} lists serialize mutations
+    and validate label reads with a seqlock, so queries are safe against
+    concurrent inserts; the relative order of already-inserted strands
+    never changes, so [precedes] is linearizable. *)
 
 type t
 type pos
@@ -60,12 +34,8 @@ type pos
 type block
 (** A sync block's Hebrew join placeholder. *)
 
-val create : ?backend:Sfr_om.Backend.name -> unit -> t * pos
-(** Fresh structure with the root strand's position, on [backend]
-    (default: the process-wide {!Sfr_om.Backend.default}). *)
-
-val backend : t -> Sfr_om.Backend.name
-(** The OM backend this structure was created on. *)
+val create : unit -> t * pos
+(** Fresh structure with the root strand's position. *)
 
 val spawn : t -> cur:pos -> block:block option -> pos * pos * block
 (** [(child, continuation, block')] — [block'] is the existing block, or a
