@@ -57,6 +57,9 @@ replay-smoke:
 # Run one workload under every registered detector, driven by the
 # registry itself (`racedetect detectors --names`) so a detector added
 # to the registry cannot be silently skipped by a stale hard-coded list.
+# Then run every detector the listing marks `parallel` on real domains
+# (mm and sort, small scale, 2 workers), so the default lock-free access
+# history is exercised under true concurrency.
 detector-smoke:
 	dune build bin/racedetect.exe
 	@set -e; \
@@ -70,7 +73,14 @@ detector-smoke:
 	  dune exec bin/racedetect.exe -- run -w mm -s tiny -d $$d; \
 	  n=$$((n + 1)); \
 	done; \
-	echo "detector-smoke: $$n registered detectors ran mm/tiny clean"
+	echo "detector-smoke: $$n registered detectors ran mm/tiny clean"; \
+	par=$$(dune exec bin/racedetect.exe -- detectors | awk '$$2 ~ /(^|,)parallel(,|$$)/ { print $$1 }'); \
+	[ -n "$$par" ] || { echo "detector-smoke: no parallel detector listed" >&2; exit 2; }; \
+	for d in $$par; do for w in mm sort; do \
+	  echo "== $$d $$w -e parallel -j 2 =="; \
+	  dune exec bin/racedetect.exe -- run -w $$w -s small -d $$d -e parallel -j 2; \
+	done; done; \
+	echo "detector-smoke: parallel detectors ran mm and sort on 2 domains clean"
 
 telemetry-smoke:
 	dune build bin/racedetect.exe bench/main.exe

@@ -42,11 +42,16 @@ let fib_mix = 0x1E37_79B9_7F4A_7C15
 
 let mix_bits loc shift = (loc * fib_mix) lsr (Sys.int_size - shift)
 
-(* -- striped (mutex / unsynchronized) representation ------------------- *)
+(* -- cells ----------------------------------------------------------------- *)
 
-(* Reader storage, per cell:
-   - [R_list]: the original cons-per-reader list (compat path; also what
-     [`Lockfree] uses, as a Treiber stack).
+(* Every mode keeps its cells in one {!Sfr_support.Loc_table}: a paged
+   find-or-create table whose lookups take no lock and allocate nothing.
+   The modes differ only in how a cell is synchronized — a striped mutex
+   around a mutable cell, nothing, or atomics inside the cell. *)
+module Loc_table = Sfr_support.Loc_table
+
+(* Reader storage, per mutable cell:
+   - [R_list]: the original cons-per-reader list (compat path).
    - [R_inline]: first [inline_cap] readers in a mutable array reused
      across write epochs — the common case allocates nothing per read —
      spilling to a list only past that. Iteration order (spill newest
@@ -72,33 +77,17 @@ type 'a cell = {
   mutable nreaders : int;
 }
 
-type 'a stripe = { mu : Mutex.t; cells : (int, 'a cell) Hashtbl.t }
-
-(* -- lock-free representation ------------------------------------------ *)
-
-(* Locations are dense within a run (Program.alloc hands out consecutive
-   IDs) but need not start near zero (the allocator's counter is global to
-   the process), so the lock-free variant indexes an offset window of
-   cells: cell for location l lives at cells.(l - base). The window grows
-   in either direction by copy-on-write snapshots (cell refs are shared
-   between snapshots, so a reader holding a stale snapshot still reaches
-   the right cell). *)
+(* [`Lockfree] cell: the writer and a Treiber stack of readers *)
 type 'a lf_cell = {
   lf_writer : 'a option Atomic.t;
   lf_readers : 'a list Atomic.t;
   lf_count : int Atomic.t; (* approximate reader count *)
 }
 
-type 'a lf_window = { base : int; cells : 'a lf_cell option array }
-
-type 'a lf_table = {
-  snapshot : 'a lf_window option Atomic.t;
-  grow_mu : Mutex.t;
-}
-
+(* [stripes] is [||] under [`Unsynchronized]: no lock is taken *)
 type 'a repr =
-  | Striped of 'a stripe array * bool (* use locks? *)
-  | Lf of 'a lf_table
+  | Striped of { cells : 'a cell Loc_table.t; stripes : Mutex.t array }
+  | Lf of 'a lf_cell Loc_table.t
 
 (* Last-writer filter: a direct-mapped cache of (location, accessor)
    pairs, one immutable pair record per slot so a racy read can never
@@ -114,47 +103,49 @@ type 'a wentry = { w_loc : int; w_acc : 'a }
 let wcache_bits = 11
 let wcache_size = 1 lsl wcache_bits
 
+(* 64 stripe locks under [`Mutex] *)
+let stripe_log = 6
+
 type 'a t = {
   policy : 'a policy;
   repr : 'a repr;
   max_readers : int Atomic.t;
   fast : bool;
-  stripe_log : int; (* log2 (Array.length stripes), for mixed selection *)
   wcache : 'a wentry option array; (* [||] when the filter is disabled *)
 }
 
-let create ?(stripes = 64) ?(sync = `Mutex) ?(fast = true) policy =
+let empty_readers policy fast =
+  match policy with
+  | Keep_all -> if fast then R_inline { slots = [||]; n = 0; spill = [] } else R_list []
+  | Lr_per_future _ -> R_lr (Hashtbl.create 4)
+
+let create ~(sync : sync_mode) ?(fast = true) policy =
   let repr =
-    match sync with
-    | (`Mutex | `Unsynchronized) as s ->
-        (* stripe selection masks the location: round up to a power of 2 *)
-        let rec pow2 n = if n >= stripes then n else pow2 (2 * n) in
-        let stripes = pow2 1 in
+    match (sync, policy) with
+    | ((`Mutex | `Unsynchronized) as s), _ ->
+        let new_cell () = { writer = None; readers = empty_readers policy fast; nreaders = 0 } in
         Striped
-          ( Array.init stripes (fun _ ->
-                { mu = Mutex.create (); cells = Hashtbl.create 64 }),
-            s = `Mutex )
-    | `Lockfree -> (
-        match policy with
-        | Keep_all ->
-            Lf { snapshot = Atomic.make None; grow_mu = Mutex.create () }
-        | Lr_per_future _ ->
-            Detect_error.unsupported ~detector:"Access_history"
-              ~feature:"`Lockfree with Lr_per_future (requires Keep_all)")
-  in
-  let stripe_log =
-    match repr with
-    | Striped (ss, _) ->
-        let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-        log2 (Array.length ss)
-    | Lf _ -> 0
+          {
+            cells = Loc_table.create ~dummy:(new_cell ()) new_cell;
+            stripes =
+              (if s = `Mutex then Array.init (1 lsl stripe_log) (fun _ -> Mutex.create ())
+               else [||]);
+          }
+    | `Lockfree, Keep_all ->
+        let new_cell () =
+          { lf_writer = Atomic.make None; lf_readers = Atomic.make []; lf_count = Atomic.make 0 }
+        in
+        Lf (Loc_table.create ~dummy:(new_cell ()) new_cell)
+    | `Lockfree, Lr_per_future _ ->
+        Detect_error.unsupported ~detector:"Access_history"
+          ~feature:"`Lockfree with Lr_per_future (requires Keep_all)"
   in
   let wcache =
     match repr with
     | Striped _ when fast -> Array.make wcache_size None
     | Striped _ | Lf _ -> [||]
   in
-  { policy; repr; max_readers = Atomic.make 0; fast; stripe_log; wcache }
+  { policy; repr; max_readers = Atomic.make 0; fast; wcache }
 
 let note_high_water t n =
   let rec loop () =
@@ -165,16 +156,11 @@ let note_high_water t n =
 
 (* -- striped paths ------------------------------------------------------ *)
 
-let empty_readers t =
-  match t.policy with
-  | Keep_all ->
-      if t.fast then R_inline { slots = [||]; n = 0; spill = [] } else R_list []
-  | Lr_per_future _ -> R_lr (Hashtbl.create 4)
-
-let inline_last r =
+(* is [accessor] the newest stored reader? (allocation-free) *)
+let inline_last_is r accessor =
   match r.spill with
-  | x :: _ -> Some x
-  | [] -> if r.n > 0 then Some r.slots.(r.n - 1) else None
+  | x :: _ -> x == accessor
+  | [] -> r.n > 0 && r.slots.(r.n - 1) == accessor
 
 let inline_push r accessor =
   if r.n < Array.length r.slots then begin
@@ -200,33 +186,28 @@ let inline_reset r =
   r.n <- 0;
   r.spill <- []
 
-let stripe_of t stripes loc =
-  if t.fast then mix_bits loc t.stripe_log
-  else loc land (Array.length stripes - 1)
+let stripe_of t loc =
+  if t.fast then mix_bits loc stripe_log else loc land ((1 lsl stripe_log) - 1)
 
-let with_cell t stripes locking loc f =
-  let stripe = stripes.(stripe_of t stripes loc) in
-  if locking then begin
+(* [f] on [loc]'s cell, inside its stripe's critical section when
+   [stripes] is non-empty; the cell lookup itself never locks *)
+let with_cell t cells stripes loc f =
+  let cell = Loc_table.get cells loc in
+  if Array.length stripes = 0 then f cell
+  else begin
+    let mu = stripes.(stripe_of t loc) in
     (* perturb-only site: widens the window between an accessor reaching
        the history and publishing into it *)
     Chaos.point Chaos.Lock_acquire;
     Metrics.incr m_lock_acquire;
-    if not (Mutex.try_lock stripe.mu) then begin
+    if not (Mutex.try_lock mu) then begin
       Metrics.incr m_lock_contended;
-      Mutex.lock stripe.mu
-    end
-  end;
-  let cell =
-    match Hashtbl.find_opt stripe.cells loc with
-    | Some c -> c
-    | None ->
-        let c = { writer = None; readers = empty_readers t; nreaders = 0 } in
-        Hashtbl.add stripe.cells loc c;
-        c
-  in
-  let result = f cell in
-  if locking then Mutex.unlock stripe.mu;
-  result
+      Mutex.lock mu
+    end;
+    let result = f cell in
+    Mutex.unlock mu;
+    result
+  end
 
 let wcache_invalidate t loc =
   if Array.length t.wcache > 0 then
@@ -243,9 +224,9 @@ let wcache_hit t loc accessor =
   | Some e -> e.w_loc = loc && e.w_acc == accessor
   | None -> false
 
-let striped_read t stripes locking ~loc ~accessor ~check_writer =
+let striped_read t cells stripes ~loc ~accessor ~check_writer =
   wcache_invalidate t loc;
-  with_cell t stripes locking loc (fun cell ->
+  with_cell t cells stripes loc (fun cell ->
       (match cell.writer with Some w -> check_writer w | None -> ());
       (match (t.policy, cell.readers) with
       | Keep_all, R_list rs ->
@@ -257,10 +238,7 @@ let striped_read t stripes locking ~loc ~accessor ~check_writer =
             Metrics.incr m_readers_insert
           end
       | Keep_all, R_inline r ->
-          let same_strand =
-            match inline_last r with Some x -> x == accessor | None -> false
-          in
-          if not same_strand then begin
+          if not (inline_last_is r accessor) then begin
             inline_push r accessor;
             cell.nreaders <- cell.nreaders + 1;
             Metrics.incr m_readers_insert
@@ -293,7 +271,7 @@ let striped_read t stripes locking ~loc ~accessor ~check_writer =
           assert false);
       note_high_water t cell.nreaders)
 
-let striped_write t stripes locking ~loc ~accessor ~check =
+let striped_write t cells stripes ~loc ~accessor ~check =
   if wcache_hit t loc accessor then begin
     (* consecutive same-strand write: this strand is already the
        installed writer and no reader registered since — re-installing
@@ -304,7 +282,7 @@ let striped_write t stripes locking ~loc ~accessor ~check =
     check ~prev:accessor ~prev_is_writer:true
   end
   else begin
-    with_cell t stripes locking loc (fun cell ->
+    with_cell t cells stripes loc (fun cell ->
         (match cell.writer with
         | Some w -> check ~prev:w ~prev_is_writer:true
         | None -> ());
@@ -323,7 +301,7 @@ let striped_write t stripes locking ~loc ~accessor ~check =
         Metrics.add m_readers_evict cell.nreaders;
         (match cell.readers with
         | R_inline _ -> () (* reset in place: the slots array is reused *)
-        | R_list _ | R_lr _ -> cell.readers <- empty_readers t);
+        | R_list _ | R_lr _ -> cell.readers <- empty_readers t.policy t.fast);
         cell.nreaders <- 0;
         cell.writer <- Some accessor);
     wcache_store t loc accessor
@@ -331,63 +309,8 @@ let striped_write t stripes locking ~loc ~accessor ~check =
 
 (* -- lock-free paths ----------------------------------------------------- *)
 
-let lf_in_window w loc = loc >= w.base && loc - w.base < Array.length w.cells
-
-(* grow (or create) the window to cover [loc]; call with grow_mu held *)
-let lf_grow_locked tbl loc =
-  match Atomic.get tbl.snapshot with
-  | Some w when lf_in_window w loc -> w
-  | Some w ->
-      let old_len = Array.length w.cells in
-      let lo = min w.base (loc land lnot 1023) in
-      let hi = max (w.base + old_len) (loc + 1) in
-      (* at least double, to amortize copies *)
-      let len = max (hi - lo) (2 * old_len) in
-      let cells = Array.make len None in
-      Array.blit w.cells 0 cells (w.base - lo) old_len;
-      let w' = { base = lo; cells } in
-      Atomic.set tbl.snapshot (Some w');
-      w'
-  | None ->
-      let w = { base = loc land lnot 1023; cells = Array.make 2048 None } in
-      Atomic.set tbl.snapshot (Some w);
-      w
-
-let lf_cell_of tbl loc =
-  let w =
-    match Atomic.get tbl.snapshot with
-    | Some w when lf_in_window w loc -> w
-    | Some _ | None ->
-        Mutex.lock tbl.grow_mu;
-        let w = lf_grow_locked tbl loc in
-        Mutex.unlock tbl.grow_mu;
-        w
-  in
-  match w.cells.(loc - w.base) with
-  | Some cell -> cell
-  | None ->
-      (* install a fresh cell; lose the race gracefully *)
-      Mutex.lock tbl.grow_mu;
-      let w = lf_grow_locked tbl loc in
-      let cell =
-        match w.cells.(loc - w.base) with
-        | Some cell -> cell
-        | None ->
-            let cell =
-              {
-                lf_writer = Atomic.make None;
-                lf_readers = Atomic.make [];
-                lf_count = Atomic.make 0;
-              }
-            in
-            w.cells.(loc - w.base) <- Some cell;
-            cell
-      in
-      Mutex.unlock tbl.grow_mu;
-      cell
-
-let lf_read t tbl ~loc ~accessor ~check_writer =
-  let cell = lf_cell_of tbl loc in
+let lf_read t cells ~loc ~accessor ~check_writer =
+  let cell = Loc_table.get cells loc in
   Chaos.point Chaos.Lock_acquire;
   (* publish the reader first, then validate against the current writer:
      a concurrent writer either drains this reader or was installed
@@ -411,8 +334,8 @@ let lf_read t tbl ~loc ~accessor ~check_writer =
   | Some w -> check_writer w
   | None -> ()
 
-let lf_write t tbl ~loc ~accessor ~check =
-  let cell = lf_cell_of tbl loc in
+let lf_write t cells ~loc ~accessor ~check =
+  let cell = Loc_table.get cells loc in
   Chaos.point Chaos.Lock_acquire;
   let same_writer =
     t.fast
@@ -444,65 +367,46 @@ let lf_write t tbl ~loc ~accessor ~check =
 let on_read t ~loc ~accessor ~check_writer =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped (stripes, locking) -> striped_read t stripes locking ~loc ~accessor ~check_writer
-  | Lf tbl -> lf_read t tbl ~loc ~accessor ~check_writer);
+  | Striped { cells; stripes } -> striped_read t cells stripes ~loc ~accessor ~check_writer
+  | Lf cells -> lf_read t cells ~loc ~accessor ~check_writer);
   Prof.stop t_read t0
 
 let on_write t ~loc ~accessor ~check =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped (stripes, locking) -> striped_write t stripes locking ~loc ~accessor ~check
-  | Lf tbl -> lf_write t tbl ~loc ~accessor ~check);
+  | Striped { cells; stripes } -> striped_write t cells stripes ~loc ~accessor ~check
+  | Lf cells -> lf_write t cells ~loc ~accessor ~check);
   Prof.stop t_write t0
 
 (* -- statistics ----------------------------------------------------------- *)
 
-let fold_striped stripes locking f init =
-  Array.fold_left
-    (fun acc stripe ->
-      if locking then Mutex.lock stripe.mu;
-      let acc = Hashtbl.fold (fun _ cell acc -> f acc cell) stripe.cells acc in
-      if locking then Mutex.unlock stripe.mu;
-      acc)
-    init stripes
-
-let fold_lf tbl f init =
-  match Atomic.get tbl.snapshot with
-  | None -> init
-  | Some w ->
-      Array.fold_left
-        (fun acc slot -> match slot with Some cell -> f acc cell | None -> acc)
-        init w.cells
-
 let locations_tracked t =
   match t.repr with
-  | Striped (stripes, locking) -> fold_striped stripes locking (fun acc _ -> acc + 1) 0
-  | Lf tbl -> fold_lf tbl (fun acc _ -> acc + 1) 0
+  | Striped { cells; _ } -> Loc_table.length cells
+  | Lf cells -> Loc_table.length cells
 
 let readers_stored t =
   match t.repr with
-  | Striped (stripes, locking) ->
-      fold_striped stripes locking (fun acc c -> acc + c.nreaders) 0
-  | Lf tbl -> fold_lf tbl (fun acc c -> acc + List.length (Atomic.get c.lf_readers)) 0
+  | Striped { cells; _ } -> Loc_table.fold (fun acc c -> acc + c.nreaders) 0 cells
+  | Lf cells ->
+      Loc_table.fold (fun acc c -> acc + List.length (Atomic.get c.lf_readers)) 0 cells
 
 let max_readers_at_once t = Atomic.get t.max_readers
 
 let words t =
   match t.repr with
-  | Striped (stripes, locking) ->
-      fold_striped stripes locking
+  | Striped { cells; stripes } ->
+      Loc_table.fold
         (fun acc c ->
-          acc + 6
+          acc + 4
           +
           match c.readers with
           | R_list rs -> 3 * List.length rs
-          | R_inline r -> 3 + Array.length r.slots + (3 * List.length r.spill)
+          | R_inline r -> 6 + Array.length r.slots + (3 * List.length r.spill)
           | R_lr tbl -> 5 * Hashtbl.length tbl)
-        (8 * Array.length stripes + Array.length t.wcache)
-  | Lf tbl ->
-      fold_lf tbl
-        (fun acc c -> acc + 6 + (3 * List.length (Atomic.get c.lf_readers)))
-        ((match Atomic.get tbl.snapshot with
-         | Some w -> Array.length w.cells
-         | None -> 0)
-        + 4)
+        (Loc_table.words cells + (3 * Array.length stripes) + Array.length t.wcache)
+        cells
+  | Lf cells ->
+      Loc_table.fold
+        (fun acc c -> acc + 10 + (3 * List.length (Atomic.get c.lf_readers)))
+        (Loc_table.words cells) cells

@@ -1,9 +1,14 @@
 (** Shadow memory — the access-history component (paper Sections 3.5, 4).
 
-    A two-level structure: locations hash to striped buckets, each stripe
-    guarded by its own mutex (the paper's fine-grained locking over
-    16-byte granules). Per location the history keeps the last writer and
-    previous readers under one of two policies:
+    One paged table ({!Sfr_support.Loc_table}) maps each location to its
+    cell under every mode. A lookup is an atomic directory read and two
+    array loads: no lock, no hash, no allocation. The table's memory is
+    proportional to the 64-location pages touched: its directory spans
+    at most [max (2{^16} locations, 8 × pages in use)], and a page beyond
+    that goes to an overflow map, so no pattern of locations — a
+    downward walk, or far-apart locations from an untrusted [.sflog] —
+    can allocate a span-sized array. Per location the history keeps the
+    last writer and previous readers under one of two policies:
 
     - [Keep_all]: every reader since the last write (collapsing
       consecutive same-strand reads) — what both F-Order and the paper's
@@ -12,12 +17,13 @@
       dag — the ≤ 2k bound this paper proves sufficient for structured
       futures (Lemmas 3.10/3.11). Requires English/Hebrew comparators.
 
-    Three synchronization modes address the paper's closing observation
-    that access-history synchronization dominates full-detection overhead:
+    The three synchronization modes differ only in how they synchronize
+    a cell — they address the paper's closing observation that
+    access-history synchronization dominates full-detection overhead:
 
-    - [`Mutex] (default): per-stripe locks; the [check] callbacks run
-      inside the location's critical section, so each location's access
-      sequence is linearized. The paper's design.
+    - [`Mutex]: 64 striped locks; the [check] callbacks run inside the
+      location's critical section, so each location's access sequence
+      is linearized. The paper's design.
     - [`Unsynchronized]: no synchronization at all — sound only under a
       serial execution; isolates the locking cost (ablation A).
     - [`Lockfree]: the "redesigned access history" the paper's conclusion
@@ -80,9 +86,10 @@ type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
 
 type 'a t
 
-val create : ?stripes:int -> ?sync:sync_mode -> ?fast:bool -> 'a policy -> 'a t
-(** Defaults: 64 stripes, [`Mutex], [~fast:true] (see {e Fast paths}
-    above; [~fast:false] selects the reference slow paths for ablation).
+val create : sync:sync_mode -> ?fast:bool -> 'a policy -> 'a t
+(** [~sync] has no default here: each detector's [?history] decides it.
+    [~fast] defaults to [true] (see {e Fast paths} above; [~fast:false]
+    selects the reference slow paths for ablation).
     @raise Invalid_argument for [`Lockfree] with [Lr_per_future]. *)
 
 val on_read : 'a t -> loc:int -> accessor:'a -> check_writer:('a -> unit) -> unit
@@ -93,6 +100,9 @@ val on_write :
   'a t -> loc:int -> accessor:'a -> check:(prev:'a -> prev_is_writer:bool -> unit) -> unit
 (** Calls [check] on the stored writer and on every stored reader, then
     clears the readers and installs the new writer. *)
+
+(** The statistics below read cells without their locks: call them once
+    the accessing domains have quiesced. *)
 
 val locations_tracked : 'a t -> int
 val readers_stored : 'a t -> int

@@ -16,3 +16,4 @@
     admit no 2k bound (paper Section 3.5). *)
 
 val make : ?history:Access_history.sync_mode -> unit -> Detector.t
+(** [history] defaults to [`Lockfree], as in {!Sf_order.make}. *)

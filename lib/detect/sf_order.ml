@@ -79,8 +79,14 @@ let cp_append store eng ~parent_fid =
       Mutex.unlock mu;
       fid
 
-let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Mutex)
-    ?(fast = true) () =
+let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = true) () =
+  (* [`Lockfree] holds only the keep-all reader policy *)
+  let history =
+    match (history, readers) with
+    | Some h, _ -> h
+    | None, `All -> `Lockfree
+    | None, `Two_per_future -> `Mutex
+  in
   let spo, root_pos = Sp_order.create () in
   let eng =
     Fp_sets.create (match sets with `Bitmap -> Fp_sets.Bitmap | `Hashed -> Fp_sets.Hashed)

@@ -26,11 +26,15 @@
       of Lemmas 3.10/3.11.
     - [sets]: [`Bitmap] (the paper's arrays of 64-bit words) or [`Hashed]
       (hash tables, for the ablation against F-Order's representation).
-    - [history]: access-history synchronization — [`Mutex] (the paper's
-      fine-grained locks), [`Unsynchronized] (serial runs only; isolates
-      the locking overhead the paper discusses), or [`Lockfree] (the
+    - [history]: access-history synchronization — [`Lockfree] (the
       redesigned low-synchronization history the paper's conclusion asks
-      for; see {!Access_history}).
+      for; see {!Access_history}), [`Mutex] (the paper's fine-grained
+      locks), or [`Unsynchronized] (serial runs only; isolates the
+      locking overhead the paper discusses). All three share one paged
+      location table and differ only in how a cell is synchronized. The
+      default is [`Lockfree] for [`All] readers, where it measured
+      fastest end to end, and [`Mutex] for [`Two_per_future], whose
+      leftmost/rightmost reader update [`Lockfree] cannot hold.
     - [fast]: hot-path optimizations, on by default. [~fast:true] stores
       [cp(G)] in a lock-free chunked vector (O(1) amortized per create,
       O(k) container words) and enables the access-history fast paths
@@ -46,8 +50,9 @@ val make :
   ?fast:bool ->
   unit ->
   Detector.t
-(** Defaults: [`All] readers, [`Bitmap] sets, [`Mutex] history,
-    [~fast:true]. *)
+(** Defaults: [`All] readers, [`Bitmap] sets, [`Lockfree] history
+    ([`Mutex] with [`Two_per_future] readers), [~fast:true].
+    @raise Detect_error.Error for [`Lockfree] with [`Two_per_future]. *)
 
 val make_with_precedes :
   ?readers:[ `All | `Two_per_future ] ->

@@ -48,7 +48,7 @@ let as_vc = function
   | Vc s -> s
   | _ -> Detect_error.foreign_state ~detector:"Vc_order" ~context:"state unwrap"
 
-let make ?(history = `Mutex) ?(fast = true) () =
+let make ?(history = `Lockfree) ?(fast = true) () =
   let next_slot = Atomic.make 1 in
   let next_fid = Atomic.make 1 in
   let alloc_words = Atomic.make 1 (* the root clock below *) in

@@ -37,8 +37,9 @@ val make :
   ?fast:bool ->
   unit ->
   Detector.t
-(** [history] and [fast] configure the shared access history exactly as
-    in {!Sf_order.make}. Parallel-capable ([supports_parallel = true]). *)
+(** [history] (default [`Lockfree]) and [fast] configure the shared
+    access history exactly as in {!Sf_order.make}. Parallel-capable
+    ([supports_parallel = true]). *)
 
 val strand_task : Sfr_runtime.Events.state -> int
 (** The clock slot owned by this strand's task (tests). *)

@@ -333,13 +333,13 @@ let ablation_readers ~scale ~repeats =
       let mk = instance_maker w scale in
       let recorded = Runner.record mk in
       let k = Dag.n_futures recorded.Runner.dag in
-      let ma =
-        Runner.time_serial ~repeats mk (Runner.Full (fun () -> Sf_order.make ~readers:`All ()))
-      in
-      let m2 =
+      (* both on [`Mutex], the one mode that holds both policies, so the
+         columns differ by reader policy alone *)
+      let time readers =
         Runner.time_serial ~repeats mk
-          (Runner.Full (fun () -> Sf_order.make ~readers:`Two_per_future ()))
+          (Runner.Full (fun () -> Sf_order.make ~readers ~history:`Mutex ()))
       in
+      let ma = time `All and m2 = time `Two_per_future in
       Tablefmt.add_row t
         [
           w.Workload.name;

@@ -268,13 +268,14 @@ let prop_serial_differential =
            detect_serial (make ()) inst.Synthetic.program
              ~base:inst.Synthetic.mem_base)
          [
-           (fun () -> Sf_order.make ());
+           (fun () -> Sf_order.make ~history:`Mutex ());
            (fun () -> Sf_order.make ~readers:`Two_per_future ());
            (fun () -> Sf_order.make ~sets:`Hashed ());
            (fun () -> Sf_order.make ~history:`Unsynchronized ());
            (fun () -> Sf_order.make ~history:`Lockfree ());
-           (fun () -> F_order.make ());
+           (fun () -> F_order.make ~history:`Mutex ());
            (fun () -> F_order.make ~history:`Unsynchronized ());
+           (fun () -> F_order.make ~history:`Lockfree ());
            (fun () -> Multibags.make ());
          ])
 
@@ -288,11 +289,11 @@ let prop_parallel_differential =
                detect_par ~workers (make ()) inst.Synthetic.program
                  ~base:inst.Synthetic.mem_base)
              [
-               (fun () -> Sf_order.make ());
+               (fun () -> Sf_order.make ~history:`Mutex ());
                (fun () -> Sf_order.make ~readers:`Two_per_future ());
                (fun () -> Sf_order.make ~history:`Lockfree ());
                (fun () -> F_order.make ~history:`Lockfree ());
-               (fun () -> F_order.make ());
+               (fun () -> F_order.make ~history:`Mutex ());
              ])
          [ 1; 2; 3 ])
 
@@ -413,9 +414,10 @@ let prop_race_free_soundness =
           ((fun () -> Sf_order.make ~readers:`Two_per_future ()), false);
           ((fun () -> Multibags.make ()), false);
           ((fun () -> F_order.make ()), false);
-          ((fun () -> Sf_order.make ()), true);
+          ((fun () -> Sf_order.make ~history:`Mutex ()), true);
           ((fun () -> Sf_order.make ~history:`Lockfree ()), true);
-          ((fun () -> F_order.make ()), true);
+          ((fun () -> F_order.make ~history:`Mutex ()), true);
+          ((fun () -> F_order.make ~history:`Lockfree ()), true);
         ])
 
 (* ------------------------------------------------------------------ *)

@@ -389,6 +389,51 @@ let test_join_waits_for_end () =
         Returned { cont = 2; child_last = 1 };
       ]
 
+(* A log whose access deltas jump by about 2^40, up and down: location
+   IDs come from an untrusted file, so the access history must index
+   them without a span-sized array. One write-write and one read-write
+   race among far-apart locations; every later access is ordered. *)
+let test_far_locations () =
+  (* access locations must be non-negative; deltas may be either sign *)
+  let far k = ((k + 50) * (1 lsl 40)) + k in
+  let payload =
+    let p = Buffer.create 256 in
+    let evs =
+      [
+        Log_format.Spawn { cur = 0; child = 1; cont = 2 };
+        Write { cur = 1; loc = far 3 };
+        Read { cur = 1; loc = far (-5) };
+        Returned { cont = 2; child_last = 1 };
+        Write { cur = 2; loc = far 3 };
+        Write { cur = 2; loc = far (-5) };
+        Sync { cur = 2; spawned_lasts = [ 1 ]; created_firsts = []; next = 3 };
+      ]
+      @ List.init 40 (fun k ->
+            let loc = far (if k mod 2 = 0 then k else -k) in
+            if k mod 3 = 0 then Log_format.Read { cur = 3; loc } else Write { cur = 3; loc })
+    in
+    ignore (List.fold_left (fun last ev -> Log_format.write_event p ~last_loc:last ev) 0 evs);
+    (Buffer.to_bytes p, List.length evs)
+  in
+  let image =
+    let bytes, events = payload in
+    craft_chunks ~chunks:[ (0, bytes) ] ~events ~states:4 ~workers:1
+  in
+  let expect name mode =
+    let v = replay mode image in
+    check Alcotest.string (name ^ " status") "complete"
+      (Stream_replay.status_to_string v.Stream_replay.status);
+    check (Alcotest.list Alcotest.int) (name ^ " racy locations")
+      [ far (-5); far 3 ] v.Stream_replay.racy_locations
+  in
+  let det = (Option.get (Sfr_detect.Registry.find "sf-order")).Sfr_detect.Registry.make () in
+  expect "inline" (Stream_replay.Detector det);
+  check Alcotest.bool "inline history words bounded" true (det.Detector.history_words () < 50_000);
+  let top = (Gc.quick_stat ()).Gc.top_heap_words in
+  expect "sharded" (Stream_replay.Sharded 2);
+  check Alcotest.bool "sharded replay heap bounded" true
+    ((Gc.quick_stat ()).Gc.top_heap_words - top < 1_000_000)
+
 (* Chaos faults at the Record / Log_flush sites abandon recordings
    mid-write; whatever ends up on disk must never crash the reader. *)
 let test_chaos_torn_logs () =
@@ -498,6 +543,7 @@ let () =
           Alcotest.test_case "parallel recording" `Quick test_parallel_log_replays;
           Alcotest.test_case "joins wait for the joined strand" `Quick
             test_join_waits_for_end;
+          Alcotest.test_case "far-apart locations" `Quick test_far_locations;
         ] );
       ( "shards",
         [

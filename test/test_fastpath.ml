@@ -118,20 +118,24 @@ let racy_set o = List.map (fun (l, _, _, _, _) -> l) o.o_reports
 let test_parallel_differential () =
   for seed = 1 to 6 do
     let t = Synthetic.generate ~seed ~ops:200 ~depth:5 ~locs:8 () in
-    let run fast workers =
-      let inst = Synthetic.instantiate t in
-      run_full ?workers ~base:inst.Synthetic.mem_base (Sf_order.make ~fast ())
-        inst.Synthetic.program
-    in
-    let serial = run true None in
-    let par_fast = run true (Some 4) in
-    let par_ref = run false (Some 4) in
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: 4-domain fast = serial race set" seed)
-      (racy_set serial) (racy_set par_fast);
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: 4-domain compat = serial race set" seed)
-      (racy_set serial) (racy_set par_ref)
+    List.iter
+      (fun (history, hname) ->
+        let run fast workers =
+          let inst = Synthetic.instantiate t in
+          run_full ?workers ~base:inst.Synthetic.mem_base
+            (Sf_order.make ~history ~fast ())
+            inst.Synthetic.program
+        in
+        let serial = run true None in
+        let par_fast = run true (Some 4) in
+        let par_ref = run false (Some 4) in
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: 4-domain fast = serial race set" seed hname)
+          (racy_set serial) (racy_set par_fast);
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: 4-domain compat = serial race set" seed hname)
+          (racy_set serial) (racy_set par_ref))
+      histories
   done
 
 (* chaos-perturbed schedules stress the publication paths (chunk installs,
@@ -140,21 +144,25 @@ let test_parallel_differential () =
 let test_chaos_parallel () =
   for seed = 1 to 4 do
     let t = Synthetic.generate ~seed:(100 + seed) ~ops:200 ~depth:5 ~locs:8 () in
-    let serial =
-      let inst = Synthetic.instantiate t in
-      run_full ~base:inst.Synthetic.mem_base (Sf_order.make ())
-        inst.Synthetic.program
-    in
-    let perturbed =
-      Chaos.arm ~seed ();
-      Fun.protect ~finally:Chaos.disarm (fun () ->
+    List.iter
+      (fun (history, hname) ->
+        let serial =
           let inst = Synthetic.instantiate t in
-          run_full ~workers:4 ~base:inst.Synthetic.mem_base (Sf_order.make ())
-            inst.Synthetic.program)
-    in
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: chaos 4-domain race set = serial" seed)
-      (racy_set serial) (racy_set perturbed)
+          run_full ~base:inst.Synthetic.mem_base (Sf_order.make ~history ())
+            inst.Synthetic.program
+        in
+        let perturbed =
+          Chaos.arm ~seed ();
+          Fun.protect ~finally:Chaos.disarm (fun () ->
+              let inst = Synthetic.instantiate t in
+              run_full ~workers:4 ~base:inst.Synthetic.mem_base
+                (Sf_order.make ~history ())
+                inst.Synthetic.program)
+        in
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: chaos 4-domain race set = serial" seed hname)
+          (racy_set serial) (racy_set perturbed))
+      histories
   done
 
 (* the ablation direction on the cp container: over a run with many
@@ -200,24 +208,28 @@ let test_write_fastpath_counter () =
     | Some v -> v
     | None -> 0
   in
-  let run fast =
-    let a = P.alloc 4 0 in
-    let det = Sf_order.make ~fast () in
-    Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
-        for _ = 1 to 100 do
-          P.wr a 0 1;
-          P.wr a 1 1
-        done)
-    |> fst;
-    det
-  in
-  let opt = run true in
-  check bool "fast path taken" true
-    (metric opt "history.write.fastpath" >= 190);
-  let ref_ = run false in
-  check int "compat never takes it" 0 (metric ref_ "history.write.fastpath");
-  check int "identical queries" (ref_.Detector.queries ())
-    (opt.Detector.queries ())
+  List.iter
+    (fun (history, hname) ->
+      let run fast =
+        let a = P.alloc 4 0 in
+        let det = Sf_order.make ~history ~fast () in
+        Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
+            for _ = 1 to 100 do
+              P.wr a 0 1;
+              P.wr a 1 1
+            done)
+        |> fst;
+        det
+      in
+      let opt = run true in
+      check bool (hname ^ ": fast path taken") true
+        (metric opt "history.write.fastpath" >= 190);
+      let ref_ = run false in
+      check int (hname ^ ": compat never takes it") 0
+        (metric ref_ "history.write.fastpath");
+      check int (hname ^ ": identical queries") (ref_.Detector.queries ())
+        (opt.Detector.queries ()))
+    histories
 
 let () =
   Alcotest.run "fastpath"

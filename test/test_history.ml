@@ -18,7 +18,7 @@ let bool = Alcotest.bool
 (* toy accessors: integers compared by a fake "dag order" where a < b
    means a precedes b *)
 let test_keepall_writer_checked_on_read () =
-  let h = Access_history.create Access_history.Keep_all in
+  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
   let seen = ref [] in
   Access_history.on_write h ~loc:0 ~accessor:1 ~check:(fun ~prev:_ ~prev_is_writer:_ -> ());
   Access_history.on_read h ~loc:0 ~accessor:2 ~check_writer:(fun w -> seen := w :: !seen);
@@ -29,7 +29,7 @@ let test_keepall_writer_checked_on_read () =
   check (Alcotest.list int) "fresh location has no writer" [] !seen2
 
 let test_keepall_write_checks_all_readers () =
-  let h = Access_history.create Access_history.Keep_all in
+  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
   List.iter
     (fun r -> Access_history.on_read h ~loc:7 ~accessor:r ~check_writer:(fun _ -> ()))
     [ 10; 20; 30 ];
@@ -47,7 +47,7 @@ let test_keepall_write_checks_all_readers () =
   check (Alcotest.list int) "only the writer remains" [ 99 ] !checked2
 
 let test_keepall_same_strand_collapse () =
-  let h = Access_history.create Access_history.Keep_all in
+  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
   let accessor = 42 in
   for _ = 1 to 100 do
     Access_history.on_read h ~loc:0 ~accessor ~check_writer:(fun _ -> ())
@@ -73,7 +73,7 @@ let lr_policy =
     }
 
 let test_lr_two_per_future () =
-  let h = Access_history.create lr_policy in
+  let h = Access_history.create ~sync:`Mutex lr_policy in
   (* five pairwise-parallel readers in one future: eng ascending, heb
      descending *)
   for i = 1 to 5 do
@@ -90,7 +90,7 @@ let test_lr_two_per_future () =
   check (Alcotest.list int) "extremes kept" [ 1; 5 ] engs
 
 let test_lr_covered_replacement () =
-  let h = Access_history.create lr_policy in
+  let h = Access_history.create ~sync:`Mutex lr_policy in
   (* serial chain: each reader covers the previous; only the last stays *)
   for i = 1 to 5 do
     Access_history.on_read h ~loc:0
@@ -104,7 +104,7 @@ let test_lr_covered_replacement () =
   check (Alcotest.list int) "only the covering reader remains" [ 5 ] uniq
 
 let test_lr_per_future_isolation () =
-  let h = Access_history.create lr_policy in
+  let h = Access_history.create ~sync:`Mutex lr_policy in
   List.iter
     (fun f ->
       Access_history.on_read h ~loc:0
@@ -113,6 +113,44 @@ let test_lr_per_future_isolation () =
     [ 1; 2; 3 ];
   (* one (doubled) slot per future *)
   check int "2 per future" 6 (Access_history.readers_stored h)
+
+(* ------------------------------------------------------------------ *)
+(* Synchronization modes                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The modes differ only in how a cell is synchronized: serially, one
+   operation sequence must fire the same checks in the same order and
+   leave the same statistics under each. Locations include a far one and
+   a downward walk, so the shared paged table grows and overflows. *)
+let mode_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_bound 300)
+      (triple bool
+         (oneof [ int_range 0 9; map (fun p -> 100_000 - (p * 64)) (int_range 0 40); pure (1 lsl 40) ])
+         (int_range 0 5)))
+
+let run_mode sync ops =
+  let h = Access_history.create ~sync Access_history.Keep_all in
+  let log = ref [] in
+  List.iter
+    (fun (is_write, loc, accessor) ->
+      if is_write then
+        Access_history.on_write h ~loc ~accessor ~check:(fun ~prev ~prev_is_writer ->
+            log := (loc, accessor, prev, prev_is_writer) :: !log)
+      else
+        Access_history.on_read h ~loc ~accessor ~check_writer:(fun w ->
+            log := (loc, accessor, w, true) :: !log))
+    ops;
+  ( List.rev !log,
+    Access_history.locations_tracked h,
+    Access_history.readers_stored h,
+    Access_history.max_readers_at_once h )
+
+let prop_modes_agree =
+  QCheck2.Test.make ~name:"mutex, unsynchronized and lockfree agree serially" ~count:200
+    mode_ops_gen (fun ops ->
+      let reference = run_mode `Mutex ops in
+      run_mode `Unsynchronized ops = reference && run_mode `Lockfree ops = reference)
 
 (* ------------------------------------------------------------------ *)
 (* Race collector                                                       *)
@@ -269,6 +307,7 @@ let () =
           Alcotest.test_case "covered replacement" `Quick test_lr_covered_replacement;
           Alcotest.test_case "per-future isolation" `Quick test_lr_per_future_isolation;
         ] );
+      ("sync_modes", [ QCheck_alcotest.to_alcotest prop_modes_agree ]);
       ( "race_collector",
         [
           Alcotest.test_case "dedup and counts" `Quick test_race_collector;

@@ -11,6 +11,8 @@ module Serial_exec = Sfr_runtime.Serial_exec
 module Par_exec = Sfr_runtime.Par_exec
 module Events = Sfr_runtime.Events
 module Synthetic = Sfr_workloads.Synthetic
+module Workload = Sfr_workloads.Workload
+module Workloads = Sfr_workloads.Registry
 module Detector = Sfr_detect.Detector
 module Sf_order = Sfr_detect.Sf_order
 module Access_history = Sfr_detect.Access_history
@@ -162,7 +164,7 @@ let test_lockfree_history_stress () =
   check (Alcotest.list int) "writer visible to later reader" [ 1 ] !seen
 
 let test_lockfree_sparse_locations () =
-  (* growth of the dense cell array across far-apart locations *)
+  (* far-apart locations in the paged table *)
   let h = Access_history.create ~sync:`Lockfree Access_history.Keep_all in
   List.iter
     (fun loc ->
@@ -174,6 +176,31 @@ let test_lockfree_sparse_locations () =
   Access_history.on_read h ~loc:200_000 ~accessor:7
     ~check_writer:(fun w -> seen := w :: !seen);
   check (Alcotest.list int) "far cell intact" [ 200_000 ] !seen
+
+(* Memory stays proportional to the locations touched whatever order
+   the workers reach them in: a help-first schedule touches sort's
+   arrays out of allocation order, walking the table downward. Default
+   scale, so the walk spans many pages. *)
+let test_lockfree_parallel_words () =
+  let sort = Option.get (Workloads.find "sort") in
+  let history_words exec =
+    let det = Sf_order.make ~history:`Lockfree () in
+    let inst = sort.Workload.instantiate Workload.Default in
+    exec det inst.Workload.program;
+    check bool "sorted" true (inst.Workload.verify ());
+    det.Detector.history_words ()
+  in
+  let serial =
+    history_words (fun det prog ->
+        ignore (Serial_exec.run det.Detector.callbacks ~root:det.Detector.root prog))
+  in
+  let parallel =
+    history_words (fun det prog ->
+        ignore
+          (Par_exec.run ~workers:2 det.Detector.callbacks ~root:det.Detector.root prog))
+  in
+  if 2 * parallel > 3 * serial then
+    Alcotest.failf "2-worker history %d words, serial %d: over 1.5x" parallel serial
 
 let test_lockfree_rejects_lr () =
   Alcotest.check_raises "lockfree requires keep-all"
@@ -243,6 +270,7 @@ let () =
         [
           Alcotest.test_case "stress" `Quick test_lockfree_history_stress;
           Alcotest.test_case "sparse locations" `Quick test_lockfree_sparse_locations;
+          Alcotest.test_case "parallel sort words" `Quick test_lockfree_parallel_words;
           Alcotest.test_case "rejects Lr policy" `Quick test_lockfree_rejects_lr;
         ] );
       ( "support",

@@ -1,8 +1,10 @@
-(* Unit and property tests for the support substrate: bitsets, union-find,
-   PRNG determinism, stats, and table rendering. *)
+(* Unit and property tests for the support substrate: bitsets, the
+   chunked vector, the paged location table, union-find, PRNG
+   determinism, stats, and table rendering. *)
 
 module Bitset = Sfr_support.Bitset
 module Chunk_vec = Sfr_support.Chunk_vec
+module Loc_table = Sfr_support.Loc_table
 module Union_find = Sfr_support.Union_find
 module Prng = Sfr_support.Prng
 module Stats = Sfr_support.Stats
@@ -253,6 +255,132 @@ let test_chunk_vec_parallel_push () =
     vals
 
 (* ------------------------------------------------------------------ *)
+(* Loc_table                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* cells are fresh refs: physically distinct from the dummy and from
+   each other *)
+let loc_table ?(made = Atomic.make 0) () =
+  Loc_table.create ~dummy:(ref (-1)) (fun () -> ref (Atomic.fetch_and_add made 1))
+
+(* Locations in runs: dense around zero, walking down page by page,
+   stepping within a page, and far apart (including the extremes). *)
+let loc_runs_gen =
+  QCheck2.Gen.(
+    let run =
+      oneof
+        [
+          map (fun l -> [ l ]) (int_range (-5_000) 5_000);
+          map
+            (fun (start, n, step) -> List.init n (fun i -> start - (i * step)))
+            (triple (int_range 0 100_000) (int_range 1 50) (oneofl [ 1; 7; 64; 640 ]));
+          map (fun start -> List.init 70 (fun i -> start + i)) (int_range (-200) 200);
+          map (fun l -> [ l ])
+            (oneofl [ 0; 1 lsl 20; 1 lsl 40; 1 lsl 61; max_int; min_int; -1 ]);
+          map (fun l -> [ l ]) int;
+        ]
+    in
+    map List.concat (list_size (int_bound 30) run))
+
+let prop_loc_table_model =
+  QCheck2.Test.make ~name:"loc table agrees with a Hashtbl model" ~count:300
+    ~print:QCheck2.Print.(list int)
+    loc_runs_gen
+    (fun locs ->
+      let t = loc_table () in
+      let model = Hashtbl.create 64 in
+      let same loc =
+        let c = Loc_table.get t loc in
+        match Hashtbl.find_opt model loc with
+        | Some c' -> c == c'
+        | None ->
+            Hashtbl.add model loc c;
+            true
+      in
+      (* cells carry unique serials: compare the sets folded over *)
+      let serials cells = List.sort compare (List.map ( ! ) cells) in
+      (* first pass grows the directory; the second must find every
+         cell, physically unchanged, through the grown directory *)
+      List.for_all same locs
+      && List.for_all same locs
+      && Loc_table.length t = Hashtbl.length model
+      && serials (Loc_table.fold (fun acc c -> c :: acc) [] t)
+         = serials (Hashtbl.fold (fun _ c acc -> c :: acc) model []))
+
+let test_loc_table_parallel_get () =
+  let made = Atomic.make 0 in
+  let t = loc_table ~made () in
+  let n = 4_000 in
+  (* overlapping orders: ascending, descending, strided, and from the
+     middle out — each domain races the others to create pages *)
+  let order d i =
+    match d with
+    | 0 -> i
+    | 1 -> n - 1 - i
+    | 2 -> i * 7 mod n
+    | _ -> ((n / 2) + if i mod 2 = 0 then i / 2 else -(i / 2) - 1) mod n
+  in
+  let ds =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let cells = Array.make n (ref (-1)) in
+            for i = 0 to n - 1 do
+              let k = order d i in
+              cells.(k) <- Loc_table.get t (1_000_000 - (k * 3))
+            done;
+            cells))
+  in
+  let all = List.map Domain.join ds in
+  check int "one cell made per location" n (Atomic.get made);
+  check int "length" n (Loc_table.length t);
+  let first = List.hd all in
+  List.iter
+    (fun cells ->
+      Array.iteri
+        (fun k c ->
+          if c != first.(k) then Alcotest.failf "location %d: domains saw different cells" k)
+        cells)
+    all
+
+let test_loc_table_bounded () =
+  (* a walk down 41 pages, one location each: the directory grows
+     toward the miss, so this is O(pages), not a doubling per step *)
+  let t = loc_table () in
+  for p = 0 to 40 do
+    ignore (Loc_table.get t ((1_000 - p) * 64))
+  done;
+  check int "41 cells" 41 (Loc_table.length t);
+  check bool "descending walk under 10k words" true (Loc_table.words t < 10_000);
+  (* far-apart locations: all but the first page overflow the window *)
+  let t = loc_table () in
+  let far = [ 0; 1 lsl 20; 1 lsl 40; 1 lsl 61 ] in
+  let cells = List.map (Loc_table.get t) far in
+  check int "4 cells" 4 (Loc_table.length t);
+  check bool "far-apart locations under 10k words" true (Loc_table.words t < 10_000);
+  List.iter2
+    (fun l c -> check bool "far cell found again" true (Loc_table.get t l == c))
+    far cells
+
+let test_loc_table_overflow_promoted () =
+  (* page 0, then a page beyond the 2^16-location floor: it overflows *)
+  let t = loc_table () in
+  ignore (Loc_table.get t 0);
+  let far_loc = 2_000 * 64 in
+  let far = Loc_table.get t far_loc in
+  check int "far page overflows" 1 (Loc_table.overflow_pages t);
+  (* walking up page by page widens the window until it covers the far
+     page, which must then move into the directory *)
+  let p = ref 1 in
+  while Loc_table.overflow_pages t > 0 && !p < 2_000 do
+    ignore (Loc_table.get t (!p * 64));
+    incr p
+  done;
+  check int "far page promoted" 0 (Loc_table.overflow_pages t);
+  check bool "promoted before reaching it" true (!p < 2_000);
+  check bool "same cell after promotion" true (Loc_table.get t far_loc == far);
+  check int "no cell lost" (!p + 1) (Loc_table.length t)
+
+(* ------------------------------------------------------------------ *)
 (* Union-find                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -427,6 +555,7 @@ let qtests =
       prop_bitset_subset;
       prop_popcount_model;
       prop_iter_model;
+      prop_loc_table_model;
       prop_uf_model;
       prop_prng_bounds;
       prop_prng_float_bounds;
@@ -453,6 +582,12 @@ let () =
           Alcotest.test_case "chunk sharing" `Quick test_chunk_vec_sharing;
           Alcotest.test_case "linear allocation" `Quick test_chunk_vec_alloc_linear;
           Alcotest.test_case "parallel push" `Quick test_chunk_vec_parallel_push;
+        ] );
+      ( "loc_table",
+        [
+          Alcotest.test_case "parallel get" `Quick test_loc_table_parallel_get;
+          Alcotest.test_case "bounded words" `Quick test_loc_table_bounded;
+          Alcotest.test_case "overflow promoted" `Quick test_loc_table_overflow_promoted;
         ] );
       ( "union_find",
         [ Alcotest.test_case "basic" `Quick test_uf_basic ] );

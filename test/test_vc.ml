@@ -234,6 +234,8 @@ let test_synthetic_vs_naive () =
 
 (* ---------- vc-order vs SF-Order, serial, byte-identical ---------- *)
 
+let histories = [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+
 (* serial execution is deterministic, so the agreement must be exact —
    same reports (locations, kinds, attributed future IDs, witness
    counts), same query total, same reader high-water mark. Sizes are
@@ -253,46 +255,55 @@ let test_vc_sf_large_scale () =
           (run (fun () -> Sf_order.make ~history ()))
           (run (fun () -> Vc_order.make ~history ()))
       done)
-    [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+    histories
 
 (* ---------- parallel and chaos-perturbed schedules ---------- *)
 
 let test_parallel_vc () =
   for seed = 1 to 4 do
     let t = Synthetic.generate ~seed ~ops:300 ~depth:5 ~locs:8 () in
-    let serial =
-      let inst = Synthetic.instantiate t in
-      run_full ~base:inst.Synthetic.mem_base (Vc_order.make ())
-        inst.Synthetic.program
-    in
-    let par =
-      let inst = Synthetic.instantiate t in
-      run_full ~workers:4 ~base:inst.Synthetic.mem_base (Vc_order.make ())
-        inst.Synthetic.program
-    in
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: 4-domain vc race set = serial" seed)
-      (racy_set serial) (racy_set par)
+    List.iter
+      (fun (history, hname) ->
+        let serial =
+          let inst = Synthetic.instantiate t in
+          run_full ~base:inst.Synthetic.mem_base (Vc_order.make ~history ())
+            inst.Synthetic.program
+        in
+        let par =
+          let inst = Synthetic.instantiate t in
+          run_full ~workers:4 ~base:inst.Synthetic.mem_base
+            (Vc_order.make ~history ())
+            inst.Synthetic.program
+        in
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: 4-domain vc race set = serial" seed hname)
+          (racy_set serial) (racy_set par))
+      histories
   done
 
 let test_chaos_parallel_vc () =
   for seed = 1 to 4 do
     let t = Synthetic.generate ~seed:(200 + seed) ~ops:300 ~depth:5 ~locs:8 () in
-    let serial =
-      let inst = Synthetic.instantiate t in
-      run_full ~base:inst.Synthetic.mem_base (Vc_order.make ())
-        inst.Synthetic.program
-    in
-    let perturbed =
-      Chaos.arm ~seed ();
-      Fun.protect ~finally:Chaos.disarm (fun () ->
+    List.iter
+      (fun (history, hname) ->
+        let serial =
           let inst = Synthetic.instantiate t in
-          run_full ~workers:4 ~base:inst.Synthetic.mem_base (Vc_order.make ())
-            inst.Synthetic.program)
-    in
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: chaos 4-domain vc race set = serial" seed)
-      (racy_set serial) (racy_set perturbed)
+          run_full ~base:inst.Synthetic.mem_base (Vc_order.make ~history ())
+            inst.Synthetic.program
+        in
+        let perturbed =
+          Chaos.arm ~seed ();
+          Fun.protect ~finally:Chaos.disarm (fun () ->
+              let inst = Synthetic.instantiate t in
+              run_full ~workers:4 ~base:inst.Synthetic.mem_base
+                (Vc_order.make ~history ())
+                inst.Synthetic.program)
+        in
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: chaos 4-domain vc race set = serial" seed
+             hname)
+          (racy_set serial) (racy_set perturbed))
+      histories
   done
 
 (* ---------- the chaos driver with the vc oracle ---------- *)
