@@ -51,17 +51,15 @@ let mix_bits loc shift = (loc * fib_mix) lsr (Sys.int_size - shift)
 module Loc_table = Sfr_support.Loc_table
 
 (* Reader storage, per mutable cell:
-   - [R_list]: the original cons-per-reader list (compat path).
    - [R_inline]: first [inline_cap] readers in a mutable array reused
      across write epochs — the common case allocates nothing per read —
-     spilling to a list only past that. Iteration order (spill newest
-     first, then slots newest first) reproduces the list order exactly,
-     so first-race attribution is byte-identical to the compat path.
+     spilling to a list only past that. Iteration is newest first (spill,
+     then slots), the same order as the [`Lockfree] cell's reader stack,
+     so first-race attribution does not depend on the mode.
    - [R_lr]: leftmost/rightmost per future (the 2k-bound policy). *)
 let inline_cap = 8
 
 type 'a readers =
-  | R_list of 'a list
   | R_inline of 'a inline
   | R_lr of (int, 'a * 'a) Hashtbl.t (* future id -> (leftmost, rightmost) *)
 
@@ -84,18 +82,13 @@ type 'a lf_cell = {
   lf_count : int Atomic.t; (* approximate reader count *)
 }
 
-(* [stripes] is [||] under [`Unsynchronized]: no lock is taken *)
-type 'a repr =
-  | Striped of { cells : 'a cell Loc_table.t; stripes : Mutex.t array }
-  | Lf of 'a lf_cell Loc_table.t
-
 (* Last-writer filter: a direct-mapped cache of (location, accessor)
    pairs, one immutable pair record per slot so a racy read can never
    observe a torn pair. A hit means "this strand installed itself as
    [loc]'s writer and no later access to [loc] has gone through the
    history", so the write can skip the whole lock/evict/install cycle —
-   the race check against the previous writer (itself) still runs, to
-   keep the query count identical to the slow path. Any read or foreign
+   the race check against the previous writer (itself) still runs, so
+   the query count does not depend on the filter. Any read or foreign
    write to [loc] invalidates the slot (a plain store; the benign-race
    argument is in the .mli). *)
 type 'a wentry = { w_loc : int; w_acc : 'a }
@@ -106,30 +99,33 @@ let wcache_size = 1 lsl wcache_bits
 (* 64 stripe locks under [`Mutex] *)
 let stripe_log = 6
 
-type 'a t = {
-  policy : 'a policy;
-  repr : 'a repr;
-  max_readers : int Atomic.t;
-  fast : bool;
-  wcache : 'a wentry option array; (* [||] when the filter is disabled *)
-}
+(* [stripes] is [||] under [`Unsynchronized]: no lock is taken *)
+type 'a repr =
+  | Striped of {
+      cells : 'a cell Loc_table.t;
+      stripes : Mutex.t array;
+      wcache : 'a wentry option array;
+    }
+  | Lf of 'a lf_cell Loc_table.t
 
-let empty_readers policy fast =
-  match policy with
-  | Keep_all -> if fast then R_inline { slots = [||]; n = 0; spill = [] } else R_list []
+type 'a t = { policy : 'a policy; repr : 'a repr; max_readers : int Atomic.t }
+
+let empty_readers = function
+  | Keep_all -> R_inline { slots = [||]; n = 0; spill = [] }
   | Lr_per_future _ -> R_lr (Hashtbl.create 4)
 
-let create ~(sync : sync_mode) ?(fast = true) policy =
+let create ~(sync : sync_mode) policy =
   let repr =
     match (sync, policy) with
     | ((`Mutex | `Unsynchronized) as s), _ ->
-        let new_cell () = { writer = None; readers = empty_readers policy fast; nreaders = 0 } in
+        let new_cell () = { writer = None; readers = empty_readers policy; nreaders = 0 } in
         Striped
           {
             cells = Loc_table.create ~dummy:(new_cell ()) new_cell;
             stripes =
               (if s = `Mutex then Array.init (1 lsl stripe_log) (fun _ -> Mutex.create ())
                else [||]);
+            wcache = Array.make wcache_size None;
           }
     | `Lockfree, Keep_all ->
         let new_cell () =
@@ -140,12 +136,7 @@ let create ~(sync : sync_mode) ?(fast = true) policy =
         Detect_error.unsupported ~detector:"Access_history"
           ~feature:"`Lockfree with Lr_per_future (requires Keep_all)"
   in
-  let wcache =
-    match repr with
-    | Striped _ when fast -> Array.make wcache_size None
-    | Striped _ | Lf _ -> [||]
-  in
-  { policy; repr; max_readers = Atomic.make 0; fast; wcache }
+  { policy; repr; max_readers = Atomic.make 0 }
 
 let note_high_water t n =
   let rec loop () =
@@ -175,7 +166,6 @@ let inline_push r accessor =
   end
   else r.spill <- accessor :: r.spill
 
-(* newest-first, mirroring the cons-list order of the compat path *)
 let inline_iter_newest_first r f =
   List.iter f r.spill;
   for i = r.n - 1 downto 0 do
@@ -186,16 +176,13 @@ let inline_reset r =
   r.n <- 0;
   r.spill <- []
 
-let stripe_of t loc =
-  if t.fast then mix_bits loc stripe_log else loc land ((1 lsl stripe_log) - 1)
-
 (* [f] on [loc]'s cell, inside its stripe's critical section when
    [stripes] is non-empty; the cell lookup itself never locks *)
-let with_cell t cells stripes loc f =
+let with_cell cells stripes loc f =
   let cell = Loc_table.get cells loc in
   if Array.length stripes = 0 then f cell
   else begin
-    let mu = stripes.(stripe_of t loc) in
+    let mu = stripes.(mix_bits loc stripe_log) in
     (* perturb-only site: widens the window between an accessor reaching
        the history and publishing into it *)
     Chaos.point Chaos.Lock_acquire;
@@ -209,35 +196,18 @@ let with_cell t cells stripes loc f =
     result
   end
 
-let wcache_invalidate t loc =
-  if Array.length t.wcache > 0 then
-    t.wcache.(mix_bits loc wcache_bits) <- None
-
-let wcache_store t loc accessor =
-  if Array.length t.wcache > 0 then
-    t.wcache.(mix_bits loc wcache_bits) <- Some { w_loc = loc; w_acc = accessor }
-
-let wcache_hit t loc accessor =
-  Array.length t.wcache > 0
-  &&
-  match t.wcache.(mix_bits loc wcache_bits) with
+let wcache_hit wcache loc accessor =
+  match wcache.(mix_bits loc wcache_bits) with
   | Some e -> e.w_loc = loc && e.w_acc == accessor
   | None -> false
 
-let striped_read t cells stripes ~loc ~accessor ~check_writer =
-  wcache_invalidate t loc;
-  with_cell t cells stripes loc (fun cell ->
+let striped_read t cells stripes wcache ~loc ~accessor ~check_writer =
+  wcache.(mix_bits loc wcache_bits) <- None;
+  with_cell cells stripes loc (fun cell ->
       (match cell.writer with Some w -> check_writer w | None -> ());
       (match (t.policy, cell.readers) with
-      | Keep_all, R_list rs ->
-          (* collapse consecutive reads by the same strand *)
-          let same_strand = match rs with r :: _ -> r == accessor | [] -> false in
-          if not same_strand then begin
-            cell.readers <- R_list (accessor :: rs);
-            cell.nreaders <- cell.nreaders + 1;
-            Metrics.incr m_readers_insert
-          end
       | Keep_all, R_inline r ->
+          (* collapse consecutive reads by the same strand *)
           if not (inline_last_is r accessor) then begin
             inline_push r accessor;
             cell.nreaders <- cell.nreaders + 1;
@@ -267,27 +237,25 @@ let striped_read t cells stripes ~loc ~accessor ~check_writer =
                 end;
                 Hashtbl.replace tbl f (l', r')
               end)
-      | Keep_all, R_lr _ | Lr_per_future _, (R_list _ | R_inline _) ->
-          assert false);
+      | Keep_all, R_lr _ | Lr_per_future _, R_inline _ -> assert false);
       note_high_water t cell.nreaders)
 
-let striped_write t cells stripes ~loc ~accessor ~check =
-  if wcache_hit t loc accessor then begin
+let striped_write t cells stripes wcache ~loc ~accessor ~check =
+  if wcache_hit wcache loc accessor then begin
     (* consecutive same-strand write: this strand is already the
        installed writer and no reader registered since — re-installing
        would evict nothing and change nothing. Run the writer-vs-writer
-       check anyway (it is what the slow path would do, and the query
-       count must not depend on the filter), then skip lock and evict. *)
+       check anyway (the query count must not depend on the filter),
+       then skip lock and evict. *)
     Metrics.incr m_write_fast;
     check ~prev:accessor ~prev_is_writer:true
   end
   else begin
-    with_cell t cells stripes loc (fun cell ->
+    with_cell cells stripes loc (fun cell ->
         (match cell.writer with
         | Some w -> check ~prev:w ~prev_is_writer:true
         | None -> ());
         (match cell.readers with
-        | R_list rs -> List.iter (fun r -> check ~prev:r ~prev_is_writer:false) rs
         | R_inline r ->
             inline_iter_newest_first r (fun x ->
                 check ~prev:x ~prev_is_writer:false);
@@ -301,10 +269,10 @@ let striped_write t cells stripes ~loc ~accessor ~check =
         Metrics.add m_readers_evict cell.nreaders;
         (match cell.readers with
         | R_inline _ -> () (* reset in place: the slots array is reused *)
-        | R_list _ | R_lr _ -> cell.readers <- empty_readers t.policy t.fast);
+        | R_lr _ -> cell.readers <- empty_readers t.policy);
         cell.nreaders <- 0;
         cell.writer <- Some accessor);
-    wcache_store t loc accessor
+    wcache.(mix_bits loc wcache_bits) <- Some { w_loc = loc; w_acc = accessor }
   end
 
 (* -- lock-free paths ----------------------------------------------------- *)
@@ -334,12 +302,11 @@ let lf_read t cells ~loc ~accessor ~check_writer =
   | Some w -> check_writer w
   | None -> ()
 
-let lf_write t cells ~loc ~accessor ~check =
+let lf_write cells ~loc ~accessor ~check =
   let cell = Loc_table.get cells loc in
   Chaos.point Chaos.Lock_acquire;
   let same_writer =
-    t.fast
-    && (match Atomic.get cell.lf_writer with
+    (match Atomic.get cell.lf_writer with
        | Some w -> w == accessor
        | None -> false)
     && Atomic.get cell.lf_readers == []
@@ -348,7 +315,7 @@ let lf_write t cells ~loc ~accessor ~check =
     (* last-writer filter, lock-free flavor: skip both exchanges — the
        reader stack stays untouched, so concurrent readers don't retry
        their CAS against this write's drain. The writer-vs-writer check
-       still runs (query-count parity with the unfiltered path). *)
+       still runs, so the query count does not depend on the filter. *)
     Metrics.incr m_write_fast;
     check ~prev:accessor ~prev_is_writer:true
   end
@@ -367,15 +334,17 @@ let lf_write t cells ~loc ~accessor ~check =
 let on_read t ~loc ~accessor ~check_writer =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped { cells; stripes } -> striped_read t cells stripes ~loc ~accessor ~check_writer
+  | Striped { cells; stripes; wcache } ->
+      striped_read t cells stripes wcache ~loc ~accessor ~check_writer
   | Lf cells -> lf_read t cells ~loc ~accessor ~check_writer);
   Prof.stop t_read t0
 
 let on_write t ~loc ~accessor ~check =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped { cells; stripes } -> striped_write t cells stripes ~loc ~accessor ~check
-  | Lf cells -> lf_write t cells ~loc ~accessor ~check);
+  | Striped { cells; stripes; wcache } ->
+      striped_write t cells stripes wcache ~loc ~accessor ~check
+  | Lf cells -> lf_write cells ~loc ~accessor ~check);
   Prof.stop t_write t0
 
 (* -- statistics ----------------------------------------------------------- *)
@@ -395,16 +364,15 @@ let max_readers_at_once t = Atomic.get t.max_readers
 
 let words t =
   match t.repr with
-  | Striped { cells; stripes } ->
+  | Striped { cells; stripes; wcache } ->
       Loc_table.fold
         (fun acc c ->
           acc + 4
           +
           match c.readers with
-          | R_list rs -> 3 * List.length rs
           | R_inline r -> 6 + Array.length r.slots + (3 * List.length r.spill)
           | R_lr tbl -> 5 * Hashtbl.length tbl)
-        (Loc_table.words cells + (3 * Array.length stripes) + Array.length t.wcache)
+        (Loc_table.words cells + (3 * Array.length stripes) + Array.length wcache)
         cells
   | Lf cells ->
       Loc_table.fold

@@ -40,29 +40,30 @@
     the standard update preserving the per-location reported-iff-exists
     guarantee.
 
-    {2 Fast paths}
+    {2 Hot paths}
 
-    [create ~fast:true] (the default) layers three optimizations over the
-    modes above; [~fast:false] is the reference ablation, and the two must
-    produce byte-identical race reports and identical query counts:
+    Three optimizations sit on the access path; none of them changes a
+    race report or a query count:
 
-    - {b Last-writer filter}: a direct-mapped cache of (location,
-      accessor) pairs. A write whose strand is already the installed
-      writer for the location — and with no reader registered since —
-      skips the lock/evict/install cycle entirely; only the
-      writer-vs-writer race check runs (so the query count matches the
-      unfiltered path exactly). The cache is read without
-      synchronization; this is sound because a hit can only be stale if
-      some other access to the location has gone through the locked path
-      since this strand's write installed itself — and that access was
-      then checked against this strand's installed write, so the pair was
-      already examined. Reads and foreign writes invalidate the slot.
-      Counted by [history.write.fastpath].
-    - {b Inline readers}: under [Keep_all], the first 8 readers of each
-      write epoch live in a mutable array reused across epochs — the
-      common case allocates no cons cell per read — spilling to a list
-      past 8. Eviction iterates newest-first, reproducing the list
-      path's order, so first-race attribution is unchanged.
+    - {b Last-writer filter}: a write whose strand is already the
+      installed writer for the location — and with no reader registered
+      since — skips the evict/install cycle; only the writer-vs-writer
+      race check runs, so the query count does not depend on the filter.
+      [`Mutex] and [`Unsynchronized] find such writes in a direct-mapped
+      cache of (location, accessor) pairs, which saves the stripe lock;
+      [`Lockfree] reads the cell's writer and reader stack directly. The
+      cache is read without synchronization; this is sound because a hit
+      can only be stale if some other access to the location has gone
+      through the locked path since this strand's write installed itself
+      — and that access was then checked against this strand's installed
+      write, so the pair was already examined. Reads and foreign writes
+      invalidate the slot. Counted by [history.write.fastpath].
+    - {b Inline readers}: under [Keep_all] in [`Mutex] and
+      [`Unsynchronized], the first 8 readers of each write epoch live in
+      a mutable array reused across epochs — the common case allocates
+      no cons cell per read — spilling to a list past 8. Eviction
+      iterates newest first, the order of [`Lockfree]'s reader stack, so
+      first-race attribution does not depend on the mode.
     - {b Mixed stripe hashing}: stripe (and cache-slot) selection
       multiplies the location by the golden-ratio constant and takes the
       high bits, so power-of-two strided access patterns spread across
@@ -86,10 +87,8 @@ type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
 
 type 'a t
 
-val create : sync:sync_mode -> ?fast:bool -> 'a policy -> 'a t
+val create : sync:sync_mode -> 'a policy -> 'a t
 (** [~sync] has no default here: each detector's [?history] decides it.
-    [~fast] defaults to [true] (see {e Fast paths} above; [~fast:false]
-    selects the reference slow paths for ablation).
     @raise Invalid_argument for [`Lockfree] with [Lr_per_future]. *)
 
 val on_read : 'a t -> loc:int -> accessor:'a -> check_writer:('a -> unit) -> unit

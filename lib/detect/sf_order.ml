@@ -6,9 +6,8 @@ module Metrics = Sfr_obs.Metrics
 module Prof = Sfr_obs.Prof
 
 (* Same registry entry Fp_sets charges table growth to: the cp container
-   itself is part of the reachability tables' footprint, and the
-   chunked-vs-copy-on-write ablation shows up here (O(k) vs O(k²) words
-   over k future creates). *)
+   itself is part of the reachability tables' footprint (O(k) words over
+   k future creates). *)
 let m_table_words = Metrics.counter "reach.table.alloc_words"
 
 (* Query-case breakdown of Algorithm 1 (Lemmas 3.4-3.9): the three
@@ -38,48 +37,14 @@ let as_sf = function
   | Sf s -> s
   | _ -> Detect_error.foreign_state ~detector:"Sf_order" ~context:"state unwrap"
 
-(* cp(G) per future, indexed by future ID. Both stores give queries a
-   lock-free read of immutable-once-installed entries; they differ in
-   what a create pays:
+(* allocate the next future ID with cp(new) = cp(parent) ∪ {parent}; the
+   child set doesn't depend on the new ID, so it is computed outside the
+   vector's lock and push only claims the slot *)
+let cp_append cp eng ~parent_fid =
+  let parent_cp = Fp_sets.share (Chunk_vec.get cp parent_fid) in
+  Chunk_vec.push cp (Fp_sets.with_added eng parent_cp parent_fid)
 
-   - [Cp_chunked] (default): a chunked vector — push claims a slot under
-     a short lock and installs a new 512-slot chunk every 512 creates.
-     O(1) amortized, O(k) container words total, and existing entries
-     are never copied or moved.
-   - [Cp_cow] (ablation): the original copy-on-write array snapshot —
-     every create copies the whole pointer array under a mutex, O(k) per
-     create and O(k²) container words over the run. *)
-type cp_store =
-  | Cp_chunked of Fp_sets.table Chunk_vec.t
-  | Cp_cow of { arr : Fp_sets.table array Atomic.t; mu : Mutex.t }
-
-let cp_get store fid =
-  match store with
-  | Cp_chunked cv -> Chunk_vec.get cv fid
-  | Cp_cow { arr; _ } -> (Atomic.get arr).(fid)
-
-(* allocate the next future ID with cp(new) = cp(parent) ∪ {parent} *)
-let cp_append store eng ~parent_fid =
-  match store with
-  | Cp_chunked cv ->
-      (* the child set doesn't depend on the new ID, so it is computed
-         outside the vector's lock; push only claims the slot *)
-      let parent_cp = Fp_sets.share (Chunk_vec.get cv parent_fid) in
-      let child_cp = Fp_sets.with_added eng parent_cp parent_fid in
-      Chunk_vec.push cv child_cp
-  | Cp_cow { arr; mu } ->
-      Mutex.lock mu;
-      let old = Atomic.get arr in
-      let fid = Array.length old in
-      let parent_cp = Fp_sets.share old.(parent_fid) in
-      let child_cp = Fp_sets.with_added eng parent_cp parent_fid in
-      Atomic.set arr (Array.append old [| child_cp |]);
-      (* the snapshot copy is container growth: fid+1 pointer slots *)
-      Metrics.add m_table_words (fid + 1);
-      Mutex.unlock mu;
-      fid
-
-let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = true) () =
+let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
   (* [`Lockfree] holds only the keep-all reader policy *)
   let history =
     match (history, readers) with
@@ -91,17 +56,13 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = tru
   let eng =
     Fp_sets.create (match sets with `Bitmap -> Fp_sets.Bitmap | `Hashed -> Fp_sets.Hashed)
   in
-  let cp =
-    if fast then begin
-      let cv =
-        Chunk_vec.create ~on_alloc:(Metrics.add m_table_words) (Fp_sets.empty eng)
-      in
-      ignore (Chunk_vec.push cv (Fp_sets.empty eng));
-      Cp_chunked cv
-    end
-    else
-      Cp_cow { arr = Atomic.make [| Fp_sets.empty eng |]; mu = Mutex.create () }
-  in
+  (* cp(G) per future, indexed by future ID, in a chunked vector: queries
+     read immutable-once-installed entries without a lock; a create
+     claims a slot under a short lock and installs a new 512-slot chunk
+     every 512 creates. O(1) amortized, O(k) container words total, and
+     existing entries are never copied or moved. *)
+  let cp = Chunk_vec.create ~on_alloc:(Metrics.add m_table_words) (Fp_sets.empty eng) in
+  ignore (Chunk_vec.push cp (Fp_sets.empty eng));
   let races = Race.create () in
   (* Query count, striped over 128 atomics picked by domain ID, each
      padded to its own cache line: one shared counter would serialize
@@ -136,7 +97,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = tru
       Prof.stop t_q_same t0;
       r
     end
-    else if Fp_sets.mem (cp_get cp v.fid) u.fid then begin
+    else if Fp_sets.mem (Chunk_vec.get cp v.fid) u.fid then begin
       Metrics.incr m_q_cp;
       let r = Sp_order.precedes spo u.pos v.pos in
       Prof.stop t_q_cp t0;
@@ -161,7 +122,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = tru
             covers = (fun a b -> a == b || Sp_order.precedes spo a.pos b.pos);
           }
   in
-  let history = Access_history.create ~sync:history ~fast policy in
+  let history = Access_history.create ~sync:history policy in
   let metrics = Detector.metrics_since_creation () in
   let callbacks =
     {
@@ -238,7 +199,6 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history ?(fast = tru
   },
     fun u v -> precedes (as_sf u) (as_sf v) )
 
-let make ?readers ?sets ?history ?fast () =
-  fst (make_with_precedes ?readers ?sets ?history ?fast ())
+let make ?readers ?sets ?history () = fst (make_with_precedes ?readers ?sets ?history ())
 
 let strand_future st = (as_sf st).fid

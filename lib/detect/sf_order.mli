@@ -35,30 +35,24 @@
       default is [`Lockfree] for [`All] readers, where it measured
       fastest end to end, and [`Mutex] for [`Two_per_future], whose
       leftmost/rightmost reader update [`Lockfree] cannot hold.
-    - [fast]: hot-path optimizations, on by default. [~fast:true] stores
-      [cp(G)] in a lock-free chunked vector (O(1) amortized per create,
-      O(k) container words) and enables the access-history fast paths
-      (see {!Access_history}); [~fast:false] is the reference ablation —
-      copy-on-write [cp] snapshots (O(k) copy per create under a mutex)
-      and the unoptimized history. Race reports, query counts, and
-      [max_readers] are identical between the two. *)
+
+    [cp(G)] lives in a chunked vector read without a lock: O(1)
+    amortized per create and O(k) container words over k creates. *)
 
 val make :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?fast:bool ->
   unit ->
   Detector.t
 (** Defaults: [`All] readers, [`Bitmap] sets, [`Lockfree] history
-    ([`Mutex] with [`Two_per_future] readers), [~fast:true].
+    ([`Mutex] with [`Two_per_future] readers).
     @raise Detect_error.Error for [`Lockfree] with [`Two_per_future]. *)
 
 val make_with_precedes :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?fast:bool ->
   unit ->
   Detector.t * (Sfr_runtime.Events.state -> Sfr_runtime.Events.state -> bool)
 (** The detector plus its raw [Precedes] query over strand states (for

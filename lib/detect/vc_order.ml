@@ -48,7 +48,7 @@ let as_vc = function
   | Vc s -> s
   | _ -> Detect_error.foreign_state ~detector:"Vc_order" ~context:"state unwrap"
 
-let make ?(history = `Lockfree) ?(fast = true) () =
+let make ?(history = `Lockfree) () =
   let next_slot = Atomic.make 1 in
   let next_fid = Atomic.make 1 in
   let alloc_words = Atomic.make 1 (* the root clock below *) in
@@ -118,7 +118,7 @@ let make ?(history = `Lockfree) ?(fast = true) () =
     Prof.stop t_q t0;
     r
   in
-  let history = Access_history.create ~sync:history ~fast Access_history.Keep_all in
+  let history = Access_history.create ~sync:history Access_history.Keep_all in
   let metrics = Detector.metrics_since_creation () in
   (* begin a child task: its snapshot is the parent's plus its own slot
      at its first tick; the parent's continuation self-ticks so accesses

@@ -32,13 +32,9 @@
     partition [queries ()]; [vc.clock.alloc_words], [vc.slots.fresh],
     [vc.slots.reused] track clock churn. *)
 
-val make :
-  ?history:[ `Mutex | `Unsynchronized | `Lockfree ] ->
-  ?fast:bool ->
-  unit ->
-  Detector.t
-(** [history] (default [`Lockfree]) and [fast] configure the shared
-    access history exactly as in {!Sf_order.make}. Parallel-capable
+val make : ?history:Access_history.sync_mode -> unit -> Detector.t
+(** [history] (default [`Lockfree]) configures the shared access history
+    exactly as in {!Sf_order.make}. Parallel-capable
     ([supports_parallel = true]). *)
 
 val strand_task : Sfr_runtime.Events.state -> int

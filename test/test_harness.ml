@@ -1,13 +1,14 @@
 (* Harness tests: measurement modes behave as specified (reach mode
    performs no memory-access queries; full mode detects), simulated time
-   scales sensibly, and every figure generator runs end-to-end at tiny
-   scale (smoke). *)
+   scales sensibly, every figure generator runs end-to-end at tiny scale
+   (smoke), and Fig. 5's shape holds as a count. *)
 
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry
 module Runner = Sfr_harness.Runner
 module Figures = Sfr_harness.Figures
 module Sf_order = Sfr_detect.Sf_order
+module F_order = Sfr_detect.F_order
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -67,6 +68,25 @@ let test_figures_smoke () =
   Figures.ablation_sets ~scale:Workload.Tiny ~repeats:1;
   Figures.ablation_readers ~scale:Workload.Tiny ~repeats:1
 
+(* Fig. 5's shape: on every workload SF-Order's reachability tables take
+   fewer words than F-Order's, and the word count is deterministic (it is
+   a count, not a timing) *)
+let test_fig5_shape () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let words make =
+        let m = Runner.time_serial ~repeats:1 (mk w.Workload.name Workload.Tiny) (Runner.Reach make) in
+        m.Runner.reach_table_words
+      in
+      let sf = words (fun () -> Sf_order.make ()) in
+      let f = words (fun () -> F_order.make ()) in
+      if not (sf < f) then
+        Alcotest.failf "%s: SF-Order table words (%d) not below F-Order's (%d)"
+          w.Workload.name sf f;
+      check int (w.Workload.name ^ ": SF-Order words repeat") sf
+        (words (fun () -> Sf_order.make ())))
+    Registry.all
+
 let () =
   Alcotest.run "harness"
     [
@@ -80,5 +100,9 @@ let () =
           Alcotest.test_case "reach_only strips accesses" `Quick
             test_reach_only_strips_accesses;
         ] );
-      ("figures", [ Alcotest.test_case "all tables smoke" `Slow test_figures_smoke ]);
+      ( "figures",
+        [
+          Alcotest.test_case "all tables smoke" `Slow test_figures_smoke;
+          Alcotest.test_case "fig5 shape: SF-Order below F-Order" `Quick test_fig5_shape;
+        ] );
     ]

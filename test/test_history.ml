@@ -122,15 +122,15 @@ let test_lr_per_future_isolation () =
    operation sequence must fire the same checks in the same order and
    leave the same statistics under each. Locations include a far one and
    a downward walk, so the shared paged table grows and overflows. *)
-let mode_ops_gen =
+let mode_loc_gen =
   QCheck2.Gen.(
-    list_size (int_bound 300)
-      (triple bool
-         (oneof [ int_range 0 9; map (fun p -> 100_000 - (p * 64)) (int_range 0 40); pure (1 lsl 40) ])
-         (int_range 0 5)))
+    oneof [ int_range 0 9; map (fun p -> 100_000 - (p * 64)) (int_range 0 40); pure (1 lsl 40) ])
 
-let run_mode sync ops =
-  let h = Access_history.create ~sync Access_history.Keep_all in
+let mode_ops_gen =
+  QCheck2.Gen.(list_size (int_bound 300) (triple bool mode_loc_gen (int_range 0 5)))
+
+let run_mode sync policy ops =
+  let h = Access_history.create ~sync policy in
   let log = ref [] in
   List.iter
     (fun (is_write, loc, accessor) ->
@@ -146,11 +146,61 @@ let run_mode sync ops =
     Access_history.readers_stored h,
     Access_history.max_readers_at_once h )
 
+(* Reference model of [Keep_all], independent of every mode's storage:
+   per location a writer option and a newest-first reader list, with
+   consecutive same-strand reads collapsed, no write cache and no paged
+   table. Same result shape as [run_mode]. *)
+let run_keep_all_model ops =
+  let cells = Hashtbl.create 16 in
+  let log = ref [] and high = ref 0 in
+  List.iter
+    (fun (is_write, loc, accessor) ->
+      let writer, readers =
+        Option.value (Hashtbl.find_opt cells loc) ~default:(None, [])
+      in
+      Option.iter (fun w -> log := (loc, accessor, w, true) :: !log) writer;
+      if is_write then begin
+        List.iter (fun r -> log := (loc, accessor, r, false) :: !log) readers;
+        Hashtbl.replace cells loc (Some accessor, [])
+      end
+      else begin
+        let readers =
+          match readers with
+          | r :: _ when r = accessor -> readers
+          | _ -> accessor :: readers
+        in
+        high := max !high (List.length readers);
+        Hashtbl.replace cells loc (writer, readers)
+      end)
+    ops;
+  ( List.rev !log,
+    Hashtbl.length cells,
+    Hashtbl.fold (fun _ (_, rs) n -> n + List.length rs) cells 0,
+    !high )
+
 let prop_modes_agree =
   QCheck2.Test.make ~name:"mutex, unsynchronized and lockfree agree serially" ~count:200
     mode_ops_gen (fun ops ->
-      let reference = run_mode `Mutex ops in
-      run_mode `Unsynchronized ops = reference && run_mode `Lockfree ops = reference)
+      let reference = run_keep_all_model ops in
+      List.for_all
+        (fun sync -> run_mode sync Access_history.Keep_all ops = reference)
+        [ `Mutex; `Unsynchronized; `Lockfree ])
+
+(* [Lr_per_future] (the [sf-order-2pf] policy) runs under the two striped
+   modes only. Accessors come from a fixed pool, so a repeated accessor
+   is the physically equal strand the policy's [covers] expects. *)
+let lr_pool =
+  Array.init 8 (fun i -> { f = i mod 3; eng = i; heb = (i * 5) mod 8 })
+
+let lr_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_bound 300)
+      (triple bool mode_loc_gen (map (Array.get lr_pool) (int_range 0 7))))
+
+let prop_lr_modes_agree =
+  QCheck2.Test.make ~name:"mutex and unsynchronized agree on Lr_per_future" ~count:200
+    lr_ops_gen (fun ops ->
+      run_mode `Mutex lr_policy ops = run_mode `Unsynchronized lr_policy ops)
 
 (* ------------------------------------------------------------------ *)
 (* Race collector                                                       *)
@@ -307,7 +357,11 @@ let () =
           Alcotest.test_case "covered replacement" `Quick test_lr_covered_replacement;
           Alcotest.test_case "per-future isolation" `Quick test_lr_per_future_isolation;
         ] );
-      ("sync_modes", [ QCheck_alcotest.to_alcotest prop_modes_agree ]);
+      ( "sync_modes",
+        [
+          QCheck_alcotest.to_alcotest prop_modes_agree;
+          QCheck_alcotest.to_alcotest prop_lr_modes_agree;
+        ] );
       ( "race_collector",
         [
           Alcotest.test_case "dedup and counts" `Quick test_race_collector;
