@@ -8,7 +8,7 @@
      complexity        O(k^2) reachability-construction validation (Lemma 3.12)
      sweep             simulated scalability curves
      ablation-locks    access-history locking cost (paper section 4)
-     ablation-sets     bitmap vs hash-table gp/cp backends
+     ablation-sets     bitmap vs hash-table gp backends
      ablation-readers  keep-all vs 2-per-future reader policies
      ablation-history  mutex vs lock-free vs unsynchronized access history
      eventlog          record-only overhead vs live detection; shard scaling

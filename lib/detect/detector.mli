@@ -16,7 +16,7 @@ type t = {
       (** live machine words in reachability structures. *)
   reach_table_words : unit -> int;
       (** cumulative words allocated into the per-node future tables
-          (gp/cp bitmaps or nsp hash tables) — the Figure 5 metric; our
+          (gp and cp tables, or nsp hash tables) — the Figure 5 metric; our
           tables are reference-counted and freed, whereas the paper's
           implementations retain one per node, so the cumulative count is
           what corresponds to their measurement. *)

@@ -1,6 +1,8 @@
 module Events = Sfr_runtime.Events
 module Sp_order = Sfr_reach.Sp_order
 module Fp_sets = Sfr_reach.Fp_sets
+module Cp_store = Sfr_reach.Cp_store
+module Chunk_vec = Sfr_support.Chunk_vec
 
 type violation = { future : int; message : string }
 
@@ -9,6 +11,7 @@ type strand = {
   pos : Sp_order.pos;
   block : Sp_order.block option;
   fid : int;
+  depth : int;
   gp : Fp_sets.table;
 }
 
@@ -27,16 +30,18 @@ type t = {
 let make () =
   let spo, root_pos = Sp_order.create () in
   let eng = Fp_sets.create Fp_sets.Bitmap in
-  let cp : Fp_sets.table array Atomic.t = Atomic.make [| Fp_sets.empty eng |] in
+  let cp = Cp_store.create () in
+  (* continuation strand of each future's create, for the get check,
+     indexed by future ID: [cp_mu] keeps the two stores' IDs in step *)
+  let conts : strand option Chunk_vec.t = Chunk_vec.create None in
+  ignore (Chunk_vec.push conts None);
   let cp_mu = Mutex.create () in
-  (* continuation strand of each future's create, for the get check *)
-  let conts : strand option array Atomic.t = Atomic.make [| None |] in
   let violations = ref [] in
   let violations_mu = Mutex.create () in
   let precedes (u : strand) (v : strand) =
     if u == v then true
     else if u.fid = v.fid then Sp_order.precedes spo u.pos v.pos
-    else if Fp_sets.mem (Atomic.get cp).(v.fid) u.fid then
+    else if Cp_store.mem cp v.fid ~fid:u.fid ~depth:u.depth then
       Sp_order.precedes spo u.pos v.pos
     else Fp_sets.mem v.gp u.fid
   in
@@ -46,26 +51,22 @@ let make () =
         (fun cur ->
           let cur = as_dc cur in
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
-          ( Dc { pos = c_pos; block = None; fid = cur.fid; gp = Fp_sets.share cur.gp },
-            Dc { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp } ));
+          ( Dc { cur with pos = c_pos; block = None; gp = Fp_sets.share cur.gp },
+            Dc { cur with pos = t_pos; block = Some blk } ));
       on_create =
         (fun cur ->
           let cur = as_dc cur in
-          Mutex.lock cp_mu;
-          let old = Atomic.get cp in
-          let fid = Array.length old in
-          let parent_cp = Fp_sets.share old.(cur.fid) in
-          let child_cp = Fp_sets.with_added eng parent_cp cur.fid in
-          Atomic.set cp (Array.append old [| child_cp |]);
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
+          let cont = { cur with pos = t_pos; block = Some blk } in
+          let fid =
+            Mutex.protect cp_mu (fun () ->
+                let fid = Cp_store.add_child cp ~parent:cur.fid in
+                ignore (Chunk_vec.push conts (Some cont));
+                fid)
+          in
           let child =
-            { pos = c_pos; block = None; fid; gp = Fp_sets.share cur.gp }
+            { pos = c_pos; block = None; fid; depth = cur.depth + 1; gp = Fp_sets.share cur.gp }
           in
-          let cont =
-            { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp }
-          in
-          Atomic.set conts (Array.append (Atomic.get conts) [| Some cont |]);
-          Mutex.unlock cp_mu;
           (Dc child, Dc cont));
       on_sync =
         (fun ~cur ~spawned_lasts ~created_firsts:_ ->
@@ -74,14 +75,14 @@ let make () =
           let gp =
             Fp_sets.merge eng cur.gp (List.map (fun s -> (as_dc s).gp) spawned_lasts)
           in
-          Dc { pos; block = None; fid = cur.fid; gp });
+          Dc { cur with pos; block = None; gp });
       on_put = (fun _ -> ());
       on_get =
         (fun ~cur ~put ->
           let cur = as_dc cur and put = as_dc put in
           (* the structured-use check: the create's continuation must
              reach the getting strand without the future's own edges *)
-          (match (Atomic.get conts).(put.fid) with
+          (match Chunk_vec.get conts put.fid with
           | Some cont when precedes cont cur -> ()
           | Some _ ->
               Mutex.lock violations_mu;
@@ -96,12 +97,12 @@ let make () =
                 }
                 :: !violations;
               Mutex.unlock violations_mu
-          | None -> () (* conts grows with cp under cp_mu; fid always present *));
+          | None -> () (* the root's slot; a gotten future is never the root *));
           let pos = Sp_order.step spo ~cur:cur.pos in
           let gp =
             Fp_sets.with_added eng (Fp_sets.merge eng cur.gp [ put.gp ]) put.fid
           in
-          Dc { pos; block = cur.block; fid = cur.fid; gp });
+          Dc { cur with pos; gp });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read = (fun _ _ -> ());
       on_write = (fun _ _ -> ());
@@ -110,7 +111,7 @@ let make () =
   in
   {
     callbacks;
-    root = Dc { pos = root_pos; block = None; fid = 0; gp = Fp_sets.empty eng };
+    root = Dc { pos = root_pos; block = None; fid = 0; depth = 0; gp = Fp_sets.empty eng };
     violations =
       (fun () ->
         Mutex.lock violations_mu;

@@ -1,7 +1,7 @@
 module Events = Sfr_runtime.Events
 module Sp_bags = Sfr_reach.Sp_bags
 module Fp_sets = Sfr_reach.Fp_sets
-module Vec = Sfr_support.Vec
+module Cp_store = Sfr_reach.Cp_store
 module Metrics = Sfr_obs.Metrics
 module Prof = Sfr_obs.Prof
 
@@ -17,6 +17,7 @@ let t_q_gp = Prof.timer "prof.reach.query.gp.ns"
 type strand = {
   frame : Sp_bags.frame;
   fid : int;
+  depth : int;
   gp : Fp_sets.table;
 }
 
@@ -29,8 +30,7 @@ let as_mb = function
 let make () =
   let bags, root_frame = Sp_bags.create () in
   let eng = Fp_sets.create Fp_sets.Bitmap in
-  let cp : Fp_sets.table Vec.t = Vec.create ~dummy:(Fp_sets.empty eng) () in
-  let (_ : int) = Vec.push cp (Fp_sets.empty eng) in
+  let cp = Cp_store.create () in
   let races = Race.create () in
   let queries = ref 0 in
   let precedes (u : strand) (v : strand) =
@@ -49,7 +49,7 @@ let make () =
       Prof.stop t_q_same t0;
       r
     end
-    else if Fp_sets.mem (Vec.get cp v.fid) u.fid then begin
+    else if Cp_store.mem cp v.fid ~fid:u.fid ~depth:u.depth then begin
       Metrics.incr m_q_cp;
       let r = Sp_bags.is_serial_with_current bags u.frame in
       Prof.stop t_q_cp t0;
@@ -70,19 +70,19 @@ let make () =
         (fun cur ->
           let cur = as_mb cur in
           let child_frame = Sp_bags.spawn_child bags in
-          let child = { frame = child_frame; fid = cur.fid; gp = Fp_sets.share cur.gp } in
-          let cont = { frame = cur.frame; fid = cur.fid; gp = cur.gp } in
+          let child = { cur with frame = child_frame; gp = Fp_sets.share cur.gp } in
+          (* a fresh record: the continuation is a new strand *)
+          let cont = { cur with gp = cur.gp } in
           (Mb child, Mb cont));
       on_create =
         (fun cur ->
           let cur = as_mb cur in
-          let parent_cp = Fp_sets.share (Vec.get cp cur.fid) in
-          let child_cp = Fp_sets.with_added eng parent_cp cur.fid in
-          let fid = Vec.push cp child_cp in
+          let fid = Cp_store.add_child cp ~parent:cur.fid in
           let child_frame = Sp_bags.spawn_child bags in
-          let child = { frame = child_frame; fid; gp = Fp_sets.share cur.gp } in
-          let cont = { frame = cur.frame; fid = cur.fid; gp = cur.gp } in
-          (Mb child, Mb cont));
+          let child =
+            { frame = child_frame; fid; depth = cur.depth + 1; gp = Fp_sets.share cur.gp }
+          in
+          (Mb child, Mb { cur with gp = cur.gp }));
       on_sync =
         (fun ~cur ~spawned_lasts ~created_firsts:_ ->
           let cur = as_mb cur in
@@ -90,7 +90,7 @@ let make () =
           let gp =
             Fp_sets.merge eng cur.gp (List.map (fun s -> (as_mb s).gp) spawned_lasts)
           in
-          Mb { frame = cur.frame; fid = cur.fid; gp });
+          Mb { cur with gp });
       on_put = (fun _ -> ());
       on_get =
         (fun ~cur ~put ->
@@ -98,7 +98,7 @@ let make () =
           let gp =
             Fp_sets.with_added eng (Fp_sets.merge eng cur.gp [ put.gp ]) put.fid
           in
-          Mb { frame = cur.frame; fid = cur.fid; gp });
+          Mb { cur with gp });
       on_returned =
         (fun ~cont ~child_last ->
           let cont = as_mb cont and child_last = as_mb child_last in
@@ -125,11 +125,12 @@ let make () =
   {
     Detector.name = "multibags";
     callbacks;
-    root = Mb { frame = root_frame; fid = 0; gp = Fp_sets.empty eng };
+    root = Mb { frame = root_frame; fid = 0; depth = 0; gp = Fp_sets.empty eng };
     races;
     queries = (fun () -> !queries);
-    reach_words = (fun () -> Sp_bags.words bags + Fp_sets.live_words eng);
-    reach_table_words = (fun () -> Fp_sets.total_words eng);
+    reach_words =
+      (fun () -> Sp_bags.words bags + Fp_sets.live_words eng + Cp_store.words cp);
+    reach_table_words = (fun () -> Fp_sets.total_words eng + Cp_store.words cp);
     history_words = (fun () -> Access_history.words history);
     max_readers = (fun () -> Access_history.max_readers_at_once history);
     metrics;

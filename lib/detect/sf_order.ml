@@ -1,14 +1,9 @@
 module Events = Sfr_runtime.Events
 module Sp_order = Sfr_reach.Sp_order
 module Fp_sets = Sfr_reach.Fp_sets
-module Chunk_vec = Sfr_support.Chunk_vec
+module Cp_store = Sfr_reach.Cp_store
 module Metrics = Sfr_obs.Metrics
 module Prof = Sfr_obs.Prof
-
-(* Same registry entry Fp_sets charges table growth to: the cp container
-   itself is part of the reachability tables' footprint (O(k) words over
-   k future creates). *)
-let m_table_words = Metrics.counter "reach.table.alloc_words"
 
 (* Query-case breakdown of Algorithm 1 (Lemmas 3.4-3.9): the three
    counters partition every Precedes call, so they sum to [queries ()].
@@ -23,11 +18,14 @@ let t_q_gp = Prof.timer "prof.reach.query.gp.ns"
 
 (* Per-strand detector state — the paper's "node". The [gp] table is the
    strand's reference-counted future set; the [block] is its frame's
-   current sync-block placeholder in the pseudo-SP-dag orders. *)
+   current sync-block placeholder in the pseudo-SP-dag orders; [depth] is
+   its future's depth in the create tree, the index a [cp] chain is
+   probed at. *)
 type strand = {
   pos : Sp_order.pos;
   block : Sp_order.block option;
   fid : int;
+  depth : int;
   gp : Fp_sets.table;
 }
 
@@ -36,13 +34,6 @@ type Events.state += Sf of strand
 let as_sf = function
   | Sf s -> s
   | _ -> Detect_error.foreign_state ~detector:"Sf_order" ~context:"state unwrap"
-
-(* allocate the next future ID with cp(new) = cp(parent) ∪ {parent}; the
-   child set doesn't depend on the new ID, so it is computed outside the
-   vector's lock and push only claims the slot *)
-let cp_append cp eng ~parent_fid =
-  let parent_cp = Fp_sets.share (Chunk_vec.get cp parent_fid) in
-  Chunk_vec.push cp (Fp_sets.with_added eng parent_cp parent_fid)
 
 let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
   (* [`Lockfree] holds only the keep-all reader policy *)
@@ -56,13 +47,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
   let eng =
     Fp_sets.create (match sets with `Bitmap -> Fp_sets.Bitmap | `Hashed -> Fp_sets.Hashed)
   in
-  (* cp(G) per future, indexed by future ID, in a chunked vector: queries
-     read immutable-once-installed entries without a lock; a create
-     claims a slot under a short lock and installs a new 512-slot chunk
-     every 512 creates. O(1) amortized, O(k) container words total, and
-     existing entries are never copied or moved. *)
-  let cp = Chunk_vec.create ~on_alloc:(Metrics.add m_table_words) (Fp_sets.empty eng) in
-  ignore (Chunk_vec.push cp (Fp_sets.empty eng));
+  let cp = Cp_store.create () in
   let races = Race.create () in
   (* Query count, striped over 128 atomics picked by domain ID, each
      padded to its own cache line: one shared counter would serialize
@@ -97,7 +82,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
       Prof.stop t_q_same t0;
       r
     end
-    else if Fp_sets.mem (Chunk_vec.get cp v.fid) u.fid then begin
+    else if Cp_store.mem cp v.fid ~fid:u.fid ~depth:u.depth then begin
       Metrics.incr m_q_cp;
       let r = Sp_order.precedes spo u.pos v.pos in
       Prof.stop t_q_cp t0;
@@ -130,21 +115,22 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
         (fun cur ->
           let cur = as_sf cur in
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
-          let child =
-            { pos = c_pos; block = None; fid = cur.fid; gp = Fp_sets.share cur.gp }
-          in
+          let child = { cur with pos = c_pos; block = None; gp = Fp_sets.share cur.gp } in
           (* the continuation inherits the current strand's gp reference *)
-          let cont = { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp } in
+          let cont = { cur with pos = t_pos; block = Some blk } in
           (Sf child, Sf cont));
       on_create =
         (fun cur ->
           let cur = as_sf cur in
-          (* cp(G) = cp(parent) ∪ {parent}: one O(k/w) set copy per
-             future, the O(k²) construction term of Lemma 3.12 *)
-          let fid = cp_append cp eng ~parent_fid:cur.fid in
+          (* cp(G) = cp(parent) ∪ {parent}: one O(min(depth, k/w))
+             copy per future, within the O(k²) construction term of
+             Lemma 3.12 *)
+          let fid = Cp_store.add_child cp ~parent:cur.fid in
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
-          let child = { pos = c_pos; block = None; fid; gp = Fp_sets.share cur.gp } in
-          let cont = { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp } in
+          let child =
+            { pos = c_pos; block = None; fid; depth = cur.depth + 1; gp = Fp_sets.share cur.gp }
+          in
+          let cont = { cur with pos = t_pos; block = Some blk } in
           (Sf child, Sf cont));
       on_sync =
         (fun ~cur ~spawned_lasts ~created_firsts:_ ->
@@ -153,7 +139,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
           let gp =
             Fp_sets.merge eng cur.gp (List.map (fun s -> (as_sf s).gp) spawned_lasts)
           in
-          Sf { pos; block = None; fid = cur.fid; gp });
+          Sf { cur with pos; block = None; gp });
       on_put = (fun _ -> ());
       on_get =
         (fun ~cur ~put ->
@@ -163,7 +149,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
           let gp =
             Fp_sets.with_added eng (Fp_sets.merge eng cur.gp [ put.gp ]) put.fid
           in
-          Sf { pos; block = cur.block; fid = cur.fid; gp });
+          Sf { cur with pos; gp });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read =
         (fun state loc ->
@@ -187,11 +173,12 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
   ( {
     Detector.name = "sf-order";
     callbacks;
-    root = Sf { pos = root_pos; block = None; fid = 0; gp = Fp_sets.empty eng };
+    root = Sf { pos = root_pos; block = None; fid = 0; depth = 0; gp = Fp_sets.empty eng };
     races;
     queries = query_total;
-    reach_words = (fun () -> Sp_order.words spo + Fp_sets.live_words eng);
-    reach_table_words = (fun () -> Fp_sets.total_words eng);
+    reach_words =
+      (fun () -> Sp_order.words spo + Fp_sets.live_words eng + Cp_store.words cp);
+    reach_table_words = (fun () -> Fp_sets.total_words eng + Cp_store.words cp);
     history_words = (fun () -> Access_history.words history);
     max_readers = (fun () -> Access_history.max_readers_at_once history);
     metrics;

@@ -5,9 +5,12 @@
 
     + WSP-Order English/Hebrew order maintenance over the pseudo-SP-dag
       ({!Sfr_reach.Sp_order}), answering [u ↠ v] in O(1);
-    + [cp(G)] — per-future bitmap of future ancestors;
+    + [cp(G)] — per-future set of future ancestors: an ancestor chain
+      indexed by depth, or a bitmap where that is smaller
+      ({!Sfr_reach.Cp_store});
     + [gp(v)] — per-strand bitmap of futures whose last node NSP-precedes
-      [v] ({!Sfr_reach.Fp_sets}).
+      [v], covering only the words its members span
+      ({!Sfr_reach.Fp_sets}).
 
     A query [Precedes(u, v)] for a previous accessor [u ∈ F] against the
     current strand [v ∈ G]:
@@ -16,7 +19,9 @@
     - [F ∈ cp(G)]: answer [u ↠ v]                        (Lemmas 3.8, 3.9)
     - otherwise: answer [F ∈ gp(v)]                            (Lemma 3.4)
 
-    All three cases are O(1); total reachability-maintenance work is
+    All three cases are O(1) and allocate nothing: [F ∈ cp(G)] is one
+    array probe at [F]'s depth (strand states carry their future's
+    depth) or one word probe. Total reachability-maintenance work is
     O(T1 + k²) (Lemma 3.12).
 
     Options mirror the paper's design space:
@@ -24,8 +29,9 @@
       paper's own implementation does, Section 4); [`Two_per_future]
       stores only the leftmost/rightmost reader per future — the 2k bound
       of Lemmas 3.10/3.11.
-    - [sets]: [`Bitmap] (the paper's arrays of 64-bit words) or [`Hashed]
-      (hash tables, for the ablation against F-Order's representation).
+    - [sets]: the [gp] representation — [`Bitmap] (the paper's arrays
+      of 64-bit words) or [`Hashed] (hash tables, for the ablation against
+      F-Order's representation). [cp] uses the same store either way.
     - [history]: access-history synchronization — [`Lockfree] (the
       redesigned low-synchronization history the paper's conclusion asks
       for; see {!Access_history}), [`Mutex] (the paper's fine-grained
@@ -37,7 +43,8 @@
       leftmost/rightmost reader update [`Lockfree] cannot hold.
 
     [cp(G)] lives in a chunked vector read without a lock: O(1)
-    amortized per create and O(k) container words over k creates. *)
+    amortized per create and O(k) container words over k creates; each
+    entry costs O(min(depth, k/w)) words. *)
 
 val make :
   ?readers:[ `All | `Two_per_future ] ->

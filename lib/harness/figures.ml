@@ -157,8 +157,8 @@ let fig4 ~scale ~repeats ~workers =
 
 let fig5 ~scale =
   Format.printf
-    "Figure 5: memory of the per-node reachability tables (gp/cp bitmaps \
-     vs nsp hash tables), cumulative allocation over a reach run — the \
+    "Figure 5: memory of the per-node reachability tables (gp bitmaps and \
+     cp chains vs nsp hash tables), cumulative allocation over a reach run — the \
      retain-per-node measurement of the paper (EXPERIMENTS.md).@.";
   let t =
     Tablefmt.create ~title:""
@@ -281,8 +281,9 @@ let ablation_locks ~scale ~repeats =
 
 let ablation_sets ~scale ~repeats =
   Format.printf
-    "Ablation B (paper section 4): gp/cp as bitmaps (SF-Order) vs hash \
-     tables (what general-futures detectors need).@.";
+    "Ablation B (paper section 4): gp as bitmaps (SF-Order) vs hash \
+     tables (what general-futures detectors need); cp is the same store in \
+     both.@.";
   let t =
     Tablefmt.create ~title:""
       [

@@ -36,20 +36,9 @@ let repr_words = function
 let repr_mem r i =
   match r with Bits b -> Bitset.mem b i | Hash h -> Hashtbl.mem h i
 
-let repr_add r i =
-  match r with
-  | Bits b -> Bitset.add b i
-  | Hash h -> if not (Hashtbl.mem h i) then Hashtbl.add h i ()
-
 let repr_iter f = function
   | Bits b -> Bitset.iter f b
   | Hash h -> Hashtbl.iter (fun i () -> f i) h
-
-(* word-at-a-time when both sides are bitmaps; per-element otherwise *)
-let repr_union_into ~dst src =
-  match (dst, src) with
-  | Bits d, Bits s -> Bitset.union_into ~dst:d s
-  | _ -> repr_iter (fun i -> repr_add dst i) src
 
 let repr_cardinal = function
   | Bits b -> Bitset.cardinal b
@@ -74,9 +63,26 @@ let repr_fresh which =
   | Bitmap -> Bits (Bitset.create ())
   | Hashed -> Hash (Hashtbl.create 8)
 
-let repr_copy = function
-  | Bits b -> Bits (Bitset.copy b)
-  | Hash h -> Hash (Hashtbl.copy h)
+(* Fresh copies sized to their members: a bitmap's window spans exactly
+   the words its members occupy. *)
+let repr_with_added r i =
+  match r with
+  | Bits b -> Bits (Bitset.with_added b i)
+  | Hash h ->
+      let h = Hashtbl.copy h in
+      Hashtbl.replace h i ();
+      Hash h
+
+let repr_union best others =
+  match best with
+  | Bits b ->
+      Bits
+        (Bitset.union
+           (b :: List.map (function Bits x -> x | Hash _ -> assert false) others))
+  | Hash h ->
+      let h = Hashtbl.copy h in
+      List.iter (repr_iter (fun i -> Hashtbl.replace h i ())) others;
+      Hash h
 
 (* -- accounting --------------------------------------------------------- *)
 
@@ -150,8 +156,7 @@ let mem tbl i = repr_mem tbl.repr i
 let with_added eng tbl i =
   if repr_mem tbl.repr i then tbl
   else begin
-    let repr = repr_copy tbl.repr in
-    repr_add repr i;
+    let repr = repr_with_added tbl.repr i in
     release tbl;
     alloc_table eng repr
   end
@@ -183,7 +188,8 @@ let merge eng primary others =
   | [ single ] -> single
   | _ ->
       (* a candidate that subsumes all other inputs avoids an allocation
-         (the paper's merge-only-when-necessary rule) *)
+         (the paper's merge-only-when-necessary rule); only the largest
+         can, and cardinalities are cached, so picking it is O(inputs) *)
       let best =
         List.fold_left
           (fun acc x ->
@@ -198,10 +204,10 @@ let merge eng primary others =
         best
       end
       else begin
-        let repr = repr_copy best.repr in
-        List.iter
-          (fun x -> if x != best then repr_union_into ~dst:repr x.repr)
-          uniq;
+        let repr =
+          repr_union best.repr
+            (List.filter_map (fun x -> if x != best then Some x.repr else None) uniq)
+        in
         List.iter release uniq;
         alloc_table eng repr
       end

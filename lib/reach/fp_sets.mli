@@ -1,15 +1,11 @@
-(** The [gp]/[cp] future-set engine (paper Sections 3.2 and 3.4).
+(** The [gp] future-set engine (paper Section 3.4).
 
-    - [cp(G)]: for each future [G], the set of its future ancestors.
-      Immutable once built; constructed at [create] by copying the
-      parent's table and adding the parent — [O(k)] work per future,
-      [O(k²)] total, exactly the paper's construction overhead.
-    - [gp(v)]: for each strand [v], the set of futures [F] whose last node
-      NSP-precedes [v]. Conceptually [gp(v) = ∪_{u→v} gp(u)]; tables are
-      shared by pointer along serial chains and freshly merged only when
-      each side holds a future the other lacks (plus one table per get
-      node, which must add its gotten future's bit) — the paper argues
-      this happens O(k) times.
+    [gp(v)]: for each strand [v], the set of futures [F] whose last node
+    NSP-precedes [v]. Conceptually [gp(v) = ∪_{u→v} gp(u)]; tables are
+    shared by pointer along serial chains and freshly merged only when no
+    input subsumes the others (plus one table per get node, which must
+    add its gotten future) — the paper argues this happens O(k) times.
+    ([cp(G)] lives in {!Cp_store}.)
 
     Tables are reference-counted for sharing, and immutable once
     published — additions copy — so a strand state's set never changes
@@ -20,9 +16,11 @@
 
     Two backends mirror the paper's Section 4 comparison: [Bitmap] is
     SF-Order's array-of-bit-words representation (possible only because
-    structured futures need just a membership bit per future); [Hashed] is
-    the full hash-table-per-node representation general-futures detectors
-    like F-Order are forced into. The ablation bench contrasts them. *)
+    structured futures need just a membership bit per future), windowed
+    to the words between a table's smallest and largest member
+    ({!Sfr_support.Bitset}); [Hashed] is the full hash-table-per-node
+    representation general-futures detectors like F-Order are forced
+    into. The ablation bench contrasts them. *)
 
 type backend = Bitmap | Hashed
 
@@ -46,6 +44,8 @@ val release : table -> unit
 (** Give up one reference. *)
 
 val mem : table -> int -> bool
+(** One bounds check and one word probe for [Bitmap]; allocates
+    nothing. *)
 
 val with_added : t -> table -> int -> table
 (** [with_added t tbl i] consumes the caller's reference to [tbl] and
@@ -59,9 +59,12 @@ val merge : t -> table -> table list -> table
 (** [merge t primary others] consumes the caller's references to all
     inputs and returns an owned table equal to their union. Allocates a
     fresh table only when no input subsumes all the others (the paper's
-    merge-only-when-necessary rule). *)
+    merge-only-when-necessary rule). Only the largest input can, and
+    cardinalities are cached, so finding it is O(1) per input. *)
 
 val cardinal : table -> int
+(** O(1). *)
+
 val elements : table -> int list
 
 (* -- statistics (Figure 5 / ablation) --------------------------------- *)

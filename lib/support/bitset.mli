@@ -1,10 +1,15 @@
 (** Growable bitsets over dense small-integer universes.
 
-    [gp(v)] and [cp(G)] in SF-Order are sets of future IDs. Future IDs are
-    dense small integers, so the paper represents these sets as arrays of
-    64-bit words with one bit per future (Section 4, "Implementation
-    Overview"). This module is that representation: a growable array of
-    OCaml native ints (63 usable bits per word). *)
+    [gp(v)] (and [cp(G)] in a deep nest) in SF-Order are sets of future
+    IDs. Future IDs are dense small integers, so the paper represents
+    these sets as arrays of 64-bit words with one bit per future
+    (Section 4, "Implementation Overview"). This module is that representation: an array of OCaml
+    native ints (63 usable bits per word).
+
+    The array is a window: it covers words [[lo, hi]] only, so a set whose
+    members are all large IDs does not pay for the words below them. The
+    cardinality is cached, so {!cardinal} is O(1). Sets built by
+    {!with_added} and {!union} get the exact window their members span. *)
 
 type t
 
@@ -14,15 +19,17 @@ val create : ?capacity:int -> unit -> t
 val singleton : int -> t
 
 val mem : t -> int -> bool
-(** [mem s i] is whether [i] is in [s]. O(1); out-of-range is [false]. *)
+(** [mem s i] is whether [i] is in [s]: one bounds check and one word
+    probe, no allocation. Outside the window is [false]. *)
 
 val add : t -> int -> unit
-(** [add s i] inserts [i], growing the word array as needed. *)
+(** [add s i] inserts [i], growing the window as needed (doubling it, so
+    a run of adds is amortized O(1) each). *)
 
 val remove : t -> int -> unit
 
 val cardinal : t -> int
-(** Population count. O(words). *)
+(** Population count. O(1): cached. *)
 
 val is_empty : t -> bool
 
@@ -30,6 +37,15 @@ val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets [dst := dst ∪ src]. *)
 
 val copy : t -> t
+
+val with_added : t -> int -> t
+(** [with_added s i] is a fresh set equal to [s ∪ {i}]; [s] is left
+    unchanged. Its window is exactly the hull of [s]'s window and [i]'s
+    word. *)
+
+val union : t list -> t
+(** A fresh set equal to the union of the inputs, whose window is exactly
+    the hull of the nonempty inputs' windows; the inputs are unchanged. *)
 
 val subset : t -> t -> bool
 (** [subset a b] is whether [a ⊆ b]. *)
@@ -56,6 +72,10 @@ val elements : t -> int list
 (** Ascending order. *)
 
 val words : t -> int
-(** Number of machine words backing the set, for memory accounting. *)
+(** Number of machine words in the window, for memory accounting. *)
+
+val window : t -> int * int
+(** [(lo, hi)]: the first and last word indices the window covers
+    ([hi < lo] when it covers none). For tests. *)
 
 val pp : Format.formatter -> t -> unit

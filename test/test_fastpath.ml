@@ -150,11 +150,17 @@ let test_chaos_parallel () =
       histories
   done
 
+let metric det name =
+  match List.assoc_opt name (det.Detector.metrics ()) with
+  | Some v -> v
+  | None -> Alcotest.failf "%s not in metrics" name
+
 (* the cp container stays O(k) words over k nested creates: a store that
    copied its pointer array on every create would charge more than
    k²/2 = 1.1M words at k = 1500 to reach.table.alloc_words on its own.
-   The bound leaves room for the Fp_sets tables charged to the same
-   counter (about 75k words in total at k = 1500). *)
+   A 1500-deep nest is where cp chains would cost k²/2 words too, so
+   every future past depth 4 must take the bitmap layout. The bound
+   leaves room for the gp tables charged to the same counter. *)
 let test_cp_container_words () =
   let module P = Sfr_runtime.Program in
   let rec create_nest k () =
@@ -169,24 +175,93 @@ let test_cp_container_words () =
   Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
       ignore (create_nest 1500 ()))
   |> fst;
-  match List.assoc_opt "reach.table.alloc_words" (det.Detector.metrics ()) with
-  | None -> Alcotest.fail "reach.table.alloc_words not in metrics"
-  | Some w ->
-      if w >= 200_000 then
-        Alcotest.failf "cp container words (%d) not O(k) at k = 1500" w
+  check int "futures past depth 4 take bitmaps" 1496 (metric det "reach.cp.bitmaps");
+  let w = metric det "reach.table.alloc_words" in
+  if w >= 200_000 then
+    Alcotest.failf "cp container words (%d) not O(k) at k = 1500" w
 
-(* the write filter must absorb consecutive same-strand writes in both
-   modes: 100 rounds of (write a.(0); write a.(1)) install each writer
-   once, then the other 198 writes each take the filter and run exactly
-   one writer-vs-writer query (the counter is what the scaling bench
-   reports) *)
+(* [n] futures created by the current strand, each writing a shared cell
+   (parallel siblings race) and a private one that its own child reads
+   (a cp query the parent's write precedes). Each child also reads a cell
+   of [above], written by the creator's ancestors before they created it
+   (a cp query deeper in the chain). The creator then gets the last
+   future: the last private cell is ordered by that get (a gp query), the
+   first is not. *)
+let wide_program ?above ~shared ~own n () =
+  let module P = Sfr_runtime.Program in
+  let hs =
+    Array.init n (fun i ->
+        P.create (fun () ->
+            P.wr shared (i mod 8) i;
+            P.wr own i i;
+            P.get
+              (P.create (fun () ->
+                   Option.iter (fun a -> ignore (P.rd a (i mod P.length a))) above;
+                   P.rd own i))))
+  in
+  ignore (P.get hs.(n - 1));
+  ignore (P.rd own (n - 1));
+  ignore (P.rd own 0)
+
+(* the serial sf-order outcome must equal the vector-clock oracle's
+   (identical reports and query totals by construction); [program]
+   allocates fresh cells per run and returns their base location *)
+let run_against_vc name program =
+  let run det =
+    let base, prog = program () in
+    run_full ~base det prog
+  in
+  let sf = Sf_order.make () in
+  let o_sf = run sf in
+  check outcome (name ^ ": sf-order = vc-order") (run (Sfr_detect.Vc_order.make ())) o_sf;
+  check bool (name ^ ": racy") true (o_sf.o_reports <> []);
+  sf
+
+let wide_cells n =
+  let module P = Sfr_runtime.Program in
+  let shared = P.alloc 8 0 in
+  (P.base shared, shared, P.alloc n 0)
+
+(* The root creates 1,500 futures that each create one child. Every cp
+   is a chain of one or two IDs: about 10,500 words with headers; the
+   rest of the ~20,600 charged is the cp container and one-word gp
+   tables. When cp bitmaps were sized by future-ID span, each child's cp
+   spanned IDs up to its parent's and this run charged 95,115 words. *)
+let test_cp_wide_shallow () =
+  let det =
+    run_against_vc "wide" (fun () ->
+        let base, shared, own = wide_cells 1500 in
+        (base, wide_program ~shared ~own 1500))
+  in
+  check int "no cp bitmaps" 0 (metric det "reach.cp.bitmaps");
+  let w = metric det "reach.table.alloc_words" in
+  if w >= 25_000 then Alcotest.failf "wide-shallow table words %d >= 25000" w
+
+(* A 20-deep nest whose innermost future runs [wide_program]. The nest
+   below depth 5 and the 1,500 wide futures (depth 21, parent ID 20)
+   take bitmaps; a wide future's child (depth 22) fits a chain once its
+   parent's ID reaches 18 * 63 = 1134, so bitmap parents get chain
+   children: 16 + 1500 + 557 bitmaps. Every nest level writes one cell
+   of [levels] before creating the next, and the children read them. *)
+let test_cp_deep_then_wide () =
+  let module P = Sfr_runtime.Program in
+  let det =
+    run_against_vc "deep-then-wide" (fun () ->
+        let base, shared, own = wide_cells 1500 in
+        let levels = P.alloc 20 0 in
+        let rec nest d () =
+          if d = 0 then wide_program ~above:levels ~shared ~own 1500 ()
+          else begin
+            P.wr levels (d - 1) d;
+            P.get (P.create (nest (d - 1)))
+          end
+        in
+        (base, nest 20))
+  in
+  check int "cp bitmaps" 2073 (metric det "reach.cp.bitmaps")
+
 let test_write_fastpath_counter () =
   let module P = Sfr_runtime.Program in
-  let metric det name =
-    match List.assoc_opt name (det.Detector.metrics ()) with
-    | Some v -> v
-    | None -> 0
-  in
   List.iter
     (fun (history, hname) ->
       let a = P.alloc 4 0 in
@@ -220,6 +295,9 @@ let () =
         [
           Alcotest.test_case "cp container words" `Quick
             test_cp_container_words;
+          Alcotest.test_case "cp wide-shallow chains" `Quick test_cp_wide_shallow;
+          Alcotest.test_case "cp deep-then-wide layouts" `Quick
+            test_cp_deep_then_wide;
           Alcotest.test_case "write fastpath counter" `Quick
             test_write_fastpath_counter;
         ] );

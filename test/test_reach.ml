@@ -11,6 +11,7 @@ module Dag_algo = Sfr_dag.Dag_algo
 module Sp_order = Sfr_reach.Sp_order
 module Sp_bags = Sfr_reach.Sp_bags
 module Fp_sets = Sfr_reach.Fp_sets
+module Cp_store = Sfr_reach.Cp_store
 module Prng = Sfr_support.Prng
 
 let check = Alcotest.check
@@ -187,6 +188,125 @@ let test_fpsets_live_words backend () =
   Fp_sets.release a;
   check bool "live shrinks on release" true
     (Fp_sets.live_words eng <= Fp_sets.peak_words eng)
+
+(* Model test: a pool of published tables, each paired with a stdlib
+   Set. IDs are clustered around word offsets up to 100 words out, so
+   bitmap windows start far from word 0 and come out disjoint,
+   overlapping or nested. After every operation every table in the pool
+   must still equal its model: later [with_added]/[merge] calls never
+   disturb a published table. Adding a present ID and a merge one input
+   subsumes must allocate nothing; anything else allocates exactly one
+   table. *)
+module IntSet = Set.Make (Int)
+
+type pool_op = Add of int * int | Merge of int * int list
+
+let spread_id =
+  QCheck2.Gen.(
+    map2 (fun w off -> (w * Sys.int_size) + off) (int_bound 100) (int_bound (2 * Sys.int_size)))
+
+let pool_op_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun k i -> Add (k, i)) nat spread_id;
+        map2 (fun k ks -> Merge (k, ks)) nat (list_size (int_range 1 3) nat);
+      ])
+
+let prop_fpsets_model backend tag =
+  QCheck2.Test.make ~name:(tag ^ ": fp_sets agree with Set model") ~count:200
+    QCheck2.Gen.(list_size (int_bound 40) pool_op_gen)
+    (fun ops ->
+      let eng = Fp_sets.create backend in
+      let pool = ref [| (Fp_sets.empty eng, IntSet.empty) |] in
+      let pick k = !pool.(k mod Array.length !pool) in
+      let probes = ref [ 0; 62; 63; 6300 ] in
+      let agrees (t, m) =
+        Fp_sets.elements t = IntSet.elements m
+        && Fp_sets.cardinal t = IntSet.cardinal m
+        && List.for_all (fun i -> Fp_sets.mem t i = IntSet.mem i m) !probes
+      in
+      List.for_all
+        (fun op ->
+          let allocs = Fp_sets.allocations eng in
+          let entry, fresh =
+            match op with
+            | Add (k, i) ->
+                probes := i :: !probes;
+                let t, m = pick k in
+                let t' = Fp_sets.with_added eng (Fp_sets.share t) i in
+                if IntSet.mem i m && t' != t then
+                  QCheck2.Test.fail_reportf "present add of %d copied" i;
+                ((t', IntSet.add i m), not (IntSet.mem i m))
+            | Merge (k, ks) ->
+                let inputs = List.map pick (k :: ks) in
+                let union = List.fold_left (fun u (_, m) -> IntSet.union u m) IntSet.empty inputs in
+                let merged =
+                  match List.map (fun (t, _) -> Fp_sets.share t) inputs with
+                  | p :: others -> Fp_sets.merge eng p others
+                  | [] -> assert false
+                in
+                ((merged, union), not (List.exists (fun (_, m) -> IntSet.equal m union) inputs))
+          in
+          pool := Array.append !pool [| entry |];
+          let grew = Fp_sets.allocations eng - allocs in
+          if grew <> if fresh then 1 else 0 then
+            QCheck2.Test.fail_reportf "allocated %d tables, expected %d" grew
+              (if fresh then 1 else 0);
+          Array.for_all agrees !pool)
+        ops)
+
+(* Membership probes on both reachability sets allocate nothing. *)
+let test_mem_allocates_nothing () =
+  let eng = Fp_sets.create Fp_sets.Bitmap in
+  let gp = Fp_sets.with_added eng (Fp_sets.with_added eng (Fp_sets.empty eng) 700) 1300 in
+  let cp = Cp_store.create () in
+  let chain = Cp_store.add_child cp ~parent:0 in
+  (* futures 2..11 nest under [chain]; past depth 4 they take bitmaps *)
+  let deep = ref chain in
+  for _ = 1 to 10 do
+    deep := Cp_store.add_child cp ~parent:!deep
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if Fp_sets.mem gp i then incr hits;
+    if Cp_store.mem cp chain ~fid:(i land 1) ~depth:0 then incr hits;
+    if Cp_store.mem cp !deep ~fid:(i mod 12) ~depth:(i mod 12) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool (Printf.sprintf "no allocation (%.0f words)" words) true (words < 64.);
+  (* 700 and 1300; even IDs in cp(chain) = {0}; 11 of every 12 probes
+     of the depth-11 future's bitmap (ancestors 0..10 at depths 0..10) *)
+  check int "hits" (2 + 5000 + 9167) !hits
+
+(* cp store against an ancestor model over random create trees. Half the
+   creates extend the newest future, so nests run deep enough for the
+   bitmap layout while wide levels keep chains; membership must agree
+   for every (future, candidate ancestor) pair in both layouts. *)
+let prop_cp_store_model =
+  QCheck2.Test.make ~name:"cp store agrees with ancestor model" ~count:60
+    QCheck2.Gen.(list_size (int_range 1 300) (pair bool nat))
+    (fun picks ->
+      let cp = Cp_store.create () in
+      let parent = ref [| -1 |] and depth = ref [| 0 |] in
+      List.iter
+        (fun (deepen, k) ->
+          let n = Array.length !parent in
+          let p = if deepen then n - 1 else k mod n in
+          let fid = Cp_store.add_child cp ~parent:p in
+          assert (fid = n);
+          parent := Array.append !parent [| p |];
+          depth := Array.append !depth [| !depth.(p) + 1 |])
+        picks;
+      let n = Array.length !parent in
+      let rec is_anc f g = g > 0 && (!parent.(g) = f || is_anc f !parent.(g)) in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun f -> Cp_store.mem cp g ~fid:f ~depth:!depth.(f) = is_anc f g)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Differential testing against ground-truth PSP reachability           *)
@@ -405,6 +525,7 @@ let fpsets_cases backend tag =
       (test_fpsets_merge_duplicates backend);
     Alcotest.test_case (tag ^ ": live words") `Quick
       (test_fpsets_live_words backend);
+    QCheck_alcotest.to_alcotest (prop_fpsets_model backend tag);
   ]
 
 let () =
@@ -444,6 +565,11 @@ let () =
         ] );
       ( "fp_sets",
         fpsets_cases Fp_sets.Bitmap "bitmap" @ fpsets_cases Fp_sets.Hashed "hashed" );
+      ( "cp_store",
+        [
+          Alcotest.test_case "mem allocates nothing" `Quick test_mem_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_cp_store_model;
+        ] );
       ( "differential",
         Alcotest.test_case "generator is nontrivial" `Quick test_generator_nontrivial
         :: qtests );

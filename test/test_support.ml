@@ -135,6 +135,45 @@ let prop_bitset_subset =
       && Bitset.each_side_has_private_bit a b
          = (not (IntSet.subset ma mb) && not (IntSet.subset mb ma)))
 
+(* Windowed sets built functionally, from IDs clustered up to 100 words
+   out: [with_added] and [union] must match the model, leave their inputs
+   alone, and size the window to exactly the words their members span. *)
+let spread_ids =
+  QCheck2.Gen.(
+    list_size (int_bound 12)
+      (map2 (fun w off -> (w * Sys.int_size) + off) (int_bound 100) (int_bound (2 * Sys.int_size))))
+
+let build ids = List.fold_left Bitset.with_added (Bitset.create ()) ids
+
+let tight s =
+  match Bitset.elements s with
+  | [] -> Bitset.words s = 0
+  | es ->
+      let lo, hi = Bitset.window s in
+      lo = List.hd es / Sys.int_size && hi = List.nth es (List.length es - 1) / Sys.int_size
+
+let prop_bitset_windows =
+  QCheck2.Test.make ~name:"windowed with_added/union/subset agree with Set model" ~count:300
+    QCheck2.Gen.(triple spread_ids spread_ids spread_ids)
+    (fun (xs, ys, zs) ->
+      let a = build xs and b = build ys and c = build zs in
+      let ma = IntSet.of_list xs and mb = IntSet.of_list ys and mc = IntSet.of_list zs in
+      let u = Bitset.union [ a; b; c ] in
+      let mu = IntSet.union ma (IntSet.union mb mc) in
+      let v = Bitset.with_added u 6000 in
+      let agrees s m =
+        Bitset.elements s = IntSet.elements m
+        && Bitset.cardinal s = IntSet.cardinal m
+        && List.for_all (fun i -> Bitset.mem s i) (IntSet.elements m)
+        && List.for_all (fun i -> Bitset.mem s i = IntSet.mem i m) (xs @ ys @ zs @ [ 0; 6299 ])
+      in
+      agrees a ma && agrees b mb && agrees c mc && agrees u mu
+      && agrees v (IntSet.add 6000 mu)
+      && tight a && tight u && tight v
+      && Bitset.subset a b = IntSet.subset ma mb
+      && Bitset.subset a u
+      && Bitset.equal u (Bitset.union [ c; b; a ]))
+
 (* SWAR popcount vs a bit-probing reference, across the whole word
    including the sign bit (the 63rd bit of an OCaml int). *)
 let popcount_ref x =
@@ -553,6 +592,7 @@ let qtests =
       prop_bitset_model;
       prop_bitset_union;
       prop_bitset_subset;
+      prop_bitset_windows;
       prop_popcount_model;
       prop_iter_model;
       prop_loc_table_model;
