@@ -1,4 +1,4 @@
-.PHONY: all build test bench profile perfdiff scaling examples replay-smoke detector-smoke telemetry-smoke serve-smoke serve-obs-smoke clean
+.PHONY: all build test bench perfdiff examples replay-smoke detector-smoke telemetry-smoke serve-smoke serve-obs-smoke clean
 
 all: build
 
@@ -11,21 +11,29 @@ test:
 bench:
 	dune exec bench/main.exe -- all --scale default --repeats 3
 
-profile:
-	dune exec bench/main.exe -- profile --scale small
-
-# Fresh tiny-scale profile vs the committed baseline; exits 1 if any
-# (workload, detector) median regressed beyond max(10%, 3xMAD).
+# sfbench (benchmark/) at BASE against HEAD, on this machine, one run
+# each: BASE is checked out into a git worktree under _perfdiff/ (dune
+# ignores _-prefixed directories), both trees build and run every
+# workload, and `sfbench agree` compares the two result files with the
+# per-metric bounds of BENCHMARK.json and the failed-operation share.
+# Exits non-zero when a run has a failed operation or an I/O error, or
+# when agree disagrees (its status, 1 or 2, is kept in
+# _perfdiff/agree.exit). A BASE without benchmark/run.sh is skipped.
 perfdiff:
-	dune exec bench/main.exe -- profile --scale tiny --repeats 3 --profile-out /tmp/perfdiff_new.json
-	dune exec bench/main.exe -- perfdiff BENCH_profile.json /tmp/perfdiff_new.json
-
-# Measured multicore runs (work-stealing executor) per domain count,
-# with the contention counters the hot-path optimizations target.
-# Regenerates the committed BENCH_scaling.json baseline (tiny scale,
-# matching BENCH_profile.json and the CI perf-smoke lane).
-scaling:
-	dune exec bench/main.exe -- scaling --scale tiny --repeats 3 --domains 1,2,4,8
+	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<commit>" >&2; exit 2; }
+	@set -e; dir=_perfdiff; \
+	if [ -d $$dir/base ]; then git worktree remove --force $$dir/base; fi; \
+	rm -rf $$dir; git worktree prune; mkdir -p $$dir; \
+	git worktree add --detach $$dir/base "$(BASE)"; \
+	trap 'git worktree remove --force $$dir/base' EXIT; \
+	if [ ! -f $$dir/base/benchmark/run.sh ]; then \
+	  echo "perfdiff: $(BASE) has no benchmark/run.sh; nothing to compare"; \
+	  exit 0; \
+	fi; \
+	(cd $$dir/base && bash benchmark/run.sh --seed 1 --seconds 10 --out ../base.json); \
+	bash benchmark/run.sh --seed 1 --seconds 10 --out $$dir/head.json; \
+	./_build/default/benchmark/sfbench.exe agree $$dir/base.json $$dir/head.json \
+	  || { s=$$?; echo $$s > $$dir/agree.exit; exit $$s; }
 
 examples:
 	dune exec examples/quickstart.exe
@@ -82,15 +90,21 @@ detector-smoke:
 	done; done; \
 	echo "detector-smoke: parallel detectors ran mm and sort on 2 domains clean"
 
+# Sample a 2-worker live run every 5 ms into a JSONL stream, lint it,
+# and grammar-check the Prometheus exposition. An unwritable telemetry
+# path must exit 2 before the run starts.
 telemetry-smoke:
-	dune build bin/racedetect.exe bench/main.exe
+	dune build bin/racedetect.exe
 	@set -e; \
-	dune exec bench/main.exe -- profile --scale tiny --repeats 2 \
-	  --telemetry-out /tmp/telemetry.jsonl --sample-ms 5 \
-	  --profile-out /tmp/telemetry_profile.json; \
+	dune exec bin/racedetect.exe -- run -w mm -s small -e parallel -j 2 \
+	  --telemetry-out /tmp/telemetry.jsonl --sample-ms 5; \
 	dune exec bin/racedetect.exe -- telemetry-lint /tmp/telemetry.jsonl --min-samples 2; \
 	dune exec bin/racedetect.exe -- metrics-dump -w mm -s tiny --check > /tmp/metrics.prom; \
-	rm -f /tmp/telemetry.jsonl /tmp/telemetry_profile.json /tmp/metrics.prom
+	rm -f /tmp/telemetry.jsonl /tmp/metrics.prom; \
+	s=0; dune exec bin/racedetect.exe -- run -w mm -s tiny \
+	  --telemetry-out /nonexistent/dir/t.jsonl > /dev/null || s=$$?; \
+	[ $$s -eq 2 ] || { echo "telemetry-smoke: unwritable --telemetry-out exited $$s, not 2" >&2; exit 1; }; \
+	echo "telemetry-smoke: unwritable --telemetry-out exits 2"
 
 serve-smoke:
 	dune build bin/racedetect.exe

@@ -86,12 +86,21 @@ let sinks_term ~trace_doc ~telemetry_doc =
       & opt (some string) None
       & info [ "telemetry-out" ] ~docv:"FILE" ~doc:telemetry_doc)
   in
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | Some _ | None ->
+              Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))),
+        Format.pp_print_int )
+  in
   let sample_ms =
     Arg.(
       value
-      & opt int Sfr_obs.Telemetry.default_sample_ms
+      & opt positive Sfr_obs.Telemetry.default_sample_ms
       & info [ "sample-ms" ] ~docv:"MS"
-          ~doc:"Telemetry sampling period in milliseconds.")
+          ~doc:"Telemetry sampling period in milliseconds (at least 1).")
   in
   Term.(
     const (fun trace_out telemetry_out sample_ms ->
@@ -410,7 +419,7 @@ let metrics_dump_cmd =
 let telemetry_lint_cmd =
   let doc =
     "Validate a JSONL telemetry file written by $(b,run --telemetry-out) or \
-     $(b,bench --telemetry-out): header, per-line JSON, required sample \
+     $(b,serve --telemetry-out): header, per-line JSON, required sample \
      fields. Exit 2 on malformed input, 1 when fewer than --min-samples \
      samples are present."
   in
@@ -585,9 +594,11 @@ let replay_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Replay structure once, then check accesses sharded by location \
-             hash on $(docv) domains (SF-Order reachability). Output is \
-             identical for every shard count.")
+            (Printf.sprintf
+               "Replay structure once, then check accesses sharded by \
+                location hash on $(docv) domains (SF-Order reachability), at \
+                most %d. Output is identical for every shard count."
+               Stream_replay.max_shards))
   in
   let stats =
     Arg.(
@@ -605,8 +616,8 @@ let replay_cmd =
     let mode =
       match shards with
       | None -> Stream_replay.Detector (entry.Detectors.make ())
-      | Some n when n < 1 ->
-          Printf.eprintf "--shards must be >= 1\n";
+      | Some n when n < 1 || n > Stream_replay.max_shards ->
+          Printf.eprintf "--shards must be in 1..%d\n" Stream_replay.max_shards;
           exit 2
       | Some n ->
           if not entry.Detectors.caps.Detectors.shardable then begin
@@ -1026,7 +1037,11 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Location-sharded access checking per session, as replay.")
+          ~doc:
+            (Printf.sprintf
+               "Location-sharded access checking per session, as replay (1 \
+                to %d)."
+               Stream_replay.max_shards))
   in
   let pool =
     Arg.(
@@ -1077,6 +1092,21 @@ let serve_cmd =
           Printf.eprintf "%s\n" msg;
           exit 2
     in
+    let cfg =
+      {
+        Serve.session =
+          { Serve_session.credit_window; deadline_ms; idle_ms; shards };
+        global_budget = budget;
+        overload;
+        pool_domains = pool;
+        defer_ingest = false;
+      }
+    in
+    (match Serve.validate cfg with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "serve: %s\n" msg;
+        exit 2);
     let listen_fd =
       try
         let domain = Unix.domain_of_sockaddr addr in
@@ -1105,21 +1135,6 @@ let serve_cmd =
             with Sys_error msg ->
               Printf.eprintf "cannot open audit log: %s\n" msg;
               exit 2));
-        let cfg =
-          {
-            Serve.session =
-              {
-                Serve_session.credit_window;
-                deadline_ms;
-                idle_ms;
-                shards;
-              };
-            global_budget = budget;
-            overload;
-            pool_domains = pool;
-            defer_ingest = false;
-          }
-        in
         let server = Serve.create cfg in
         Printf.printf "serving on %s (budget %dB, %s, pool %d)\n%!"
           (match addr with
@@ -1728,25 +1743,32 @@ let audit_lint_cmd =
   in
   Cmd.v (Cmd.info "audit-lint" ~doc) Term.(const run $ file $ min_records)
 
+(* Usage errors exit 2, like every other bad input (README's exit-code
+   table), instead of cmdliner's 124/123. *)
 let () =
   let doc = "on-the-fly determinacy race detection for structured futures" in
   let info = Cmd.info "racedetect" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd;
+        detectors_cmd;
+        run_cmd;
+        synth_cmd;
+        record_cmd;
+        replay_cmd;
+        analyze_cmd;
+        chaos_cmd;
+        metrics_dump_cmd;
+        telemetry_lint_cmd;
+        serve_cmd;
+        stress_client_cmd;
+        serve_stats_cmd;
+        audit_lint_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            detectors_cmd;
-            run_cmd;
-            synth_cmd;
-            record_cmd;
-            replay_cmd;
-            analyze_cmd;
-            chaos_cmd;
-            metrics_dump_cmd;
-            telemetry_lint_cmd;
-            serve_cmd;
-            stress_client_cmd;
-            serve_stats_cmd;
-            audit_lint_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

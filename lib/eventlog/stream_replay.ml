@@ -88,12 +88,17 @@ type t = {
   mutable final : verdict option;  (** close is idempotent *)
 }
 
+let max_shards = 64
+
 let create mode =
   let det, shards =
     match mode with
     | Detector det -> (det, None)
     | Sharded n ->
-        if n < 1 then invalid_arg "Stream_replay.create: shards must be >= 1";
+        if n < 1 || n > max_shards then
+          invalid_arg
+            (Printf.sprintf "Stream_replay.create: shards must be in 1..%d"
+               max_shards);
         let det, precedes = Sf_order.make_with_precedes () in
         ( det,
           Some

@@ -77,7 +77,7 @@ type mode =
       (** check accesses inline with this fresh detector *)
   | Sharded of int
       (** SF-Order structure, accesses checked on this many location
-          shards (>= 1) *)
+          shards (1 to {!max_shards}) *)
 
 type verdict = {
   status : status;
@@ -94,8 +94,14 @@ type verdict = {
 
 type t
 
+val max_shards : int
+(** 64: the largest shard count [Sharded] accepts. Each batch flush
+    spawns one domain per extra shard, and OCaml 5 caps a process at
+    128 live domains. *)
+
 val create : mode -> t
-(** @raise Invalid_argument on [Sharded n] with [n < 1]. *)
+(** @raise Invalid_argument on [Sharded n] with [n < 1] or
+    [n > max_shards], before any domain is spawned. *)
 
 val feed : t -> Bytes.t -> pos:int -> len:int -> unit
 (** Buffer incoming stream bytes. Cheap; no detection happens here. *)

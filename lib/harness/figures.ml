@@ -432,160 +432,6 @@ let motivation ~scale =
     ];
   Tablefmt.print t
 
-(* ---------------------------------------------------------------- *)
-(* Profile dump: per-configuration metric snapshots                   *)
-(* ---------------------------------------------------------------- *)
-
-(* Every registered backend gets a profile row (and hence a perfdiff
-   series): new detectors join the BENCH_profile.json trajectory the
-   moment they register. *)
-let profile_cols () =
-  List.map
-    (fun (e : Detectors.entry) -> (e.Detectors.name, e.Detectors.make))
-    (Detectors.all ())
-
-let profile ~scale ~repeats ~out =
-  Format.printf
-    "Profile: per-configuration metric snapshots (full detection) -> %s@." out;
-  (* latency histograms (prof.*.ns) only fill while profiling is on; the
-     flag costs the instrumented hot paths one atomic load otherwise *)
-  let prof_was_on = Sfr_obs.Prof.enabled () in
-  Sfr_obs.Prof.enable ();
-  let t =
-    Tablefmt.create ~title:""
-      [
-        ("bench", Tablefmt.Left);
-        ("detector", Tablefmt.Left);
-        ("T1 median", Tablefmt.Right);
-        ("MAD", Tablefmt.Right);
-        ("queries", Tablefmt.Right);
-        ("metrics", Tablefmt.Right);
-      ]
-  in
-  let cols = profile_cols () in
-  let entries = ref [] in
-  List.iter
-    (fun (w : Workload.t) ->
-      let mk = instance_maker w scale in
-      List.iter
-        (fun (label, make) ->
-          let m = Runner.time_serial ~repeats mk (Runner.Full make) in
-          entries :=
-            Bench_schema.of_measurement ~workload:w.Workload.name
-              ~detector:label ~repeats m
-            :: !entries;
-          Tablefmt.add_row t
-            [
-              w.Workload.name;
-              label;
-              Printf.sprintf "%.3f" m.Runner.median;
-              (if repeats < 2 then "-" else Printf.sprintf "%.4f" m.Runner.mad);
-              Tablefmt.cell_int_compact m.Runner.queries;
-              string_of_int (List.length m.Runner.metrics);
-            ])
-        cols;
-      Tablefmt.add_separator t)
-    Registry.all;
-  if not prof_was_on then Sfr_obs.Prof.disable ();
-  let result =
-    {
-      Bench_schema.version = Bench_schema.version;
-      env =
-        Bench_schema.capture_env
-          ~scale:(Format.asprintf "%a" Workload.pp_scale scale);
-      entries = List.rev !entries;
-    }
-  in
-  Bench_schema.write out result;
-  Tablefmt.print t;
-  Format.printf "wrote %s (schema v%d)@." out Bench_schema.version
-
-(* ---------------------------------------------------------------- *)
-(* Domain scaling: measured multicore runs                            *)
-(* ---------------------------------------------------------------- *)
-
-(* Unlike [sweep] (simulated times from a recorded dag), these are real
-   runs on the work-stealing executor — the numbers that move when the
-   synchronization hot paths change: stripe-lock contention, CAS retries
-   under the lock-free history, cp-container growth. *)
-let scaling ~scale ~repeats ~domains ~out =
-  Format.printf
-    "Domain scaling: measured wall-clock per domain count (work-stealing \
-     executor, %d hardware core(s) available), full SF-Order detection \
-     plus reach-only, with contention counters -> %s@."
-    (Domain.recommended_domain_count ())
-    out;
-  let t =
-    Tablefmt.create ~title:""
-      [
-        ("bench", Tablefmt.Left);
-        ("config", Tablefmt.Left);
-        ("domains", Tablefmt.Right);
-        ("median (s)", Tablefmt.Right);
-        ("speedup", Tablefmt.Right);
-        ("lock cont.", Tablefmt.Right);
-        ("cas retry", Tablefmt.Right);
-        ("om relabels", Tablefmt.Right);
-        ("table words", Tablefmt.Right);
-      ]
-  in
-  let metric m name =
-    match List.assoc_opt name m.Runner.metrics with Some v -> v | None -> 0
-  in
-  let entries = ref [] in
-  List.iter
-    (fun (w : Workload.t) ->
-      let mk = instance_maker w scale in
-      List.iter
-        (fun (config, mode) ->
-          let base_median = ref None in
-          List.iter
-            (fun d ->
-              let m = Runner.time_parallel ~repeats ~domains:d mk mode in
-              let speedup =
-                match !base_median with
-                | None ->
-                    base_median := Some m.Runner.median;
-                    1.0
-                | Some t1 -> t1 /. m.Runner.median
-              in
-              entries :=
-                Bench_schema.of_measurement ~workload:w.Workload.name
-                  ~detector:(Printf.sprintf "sf-order-%s@d%d" config d)
-                  ~repeats m
-                :: !entries;
-              Tablefmt.add_row t
-                [
-                  w.Workload.name;
-                  config;
-                  string_of_int d;
-                  Printf.sprintf "%.4f" m.Runner.median;
-                  Printf.sprintf "%.2fx" speedup;
-                  Tablefmt.cell_int_compact (metric m "history.lock.contended");
-                  Tablefmt.cell_int_compact (metric m "history.cas.retry");
-                  Tablefmt.cell_int_compact (metric m "om.relabels");
-                  Tablefmt.cell_int_compact (metric m "reach.table.alloc_words");
-                ])
-            domains)
-        [
-          ("reach", Runner.Reach (fun () -> Sf_order.make ()));
-          ("full", Runner.Full (fun () -> Sf_order.make ()));
-        ];
-      Tablefmt.add_separator t)
-    Registry.all;
-  let result =
-    {
-      Bench_schema.version = Bench_schema.version;
-      env =
-        Bench_schema.capture_env
-          ~scale:(Format.asprintf "%a" Workload.pp_scale scale);
-      entries = List.rev !entries;
-    }
-  in
-  Bench_schema.write out result;
-  Tablefmt.print t;
-  Format.printf "wrote %s (schema v%d)@." out Bench_schema.version
-
 let complexity () =
   Format.printf
     "Complexity validation (Lemma 3.12): reachability construction is \

@@ -40,33 +40,3 @@ val ablation_history : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 
 val ablation_sets : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 val ablation_readers : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
-
-val scaling :
-  scale:Sfr_workloads.Workload.scale ->
-  repeats:int ->
-  domains:int list ->
-  out:string ->
-  unit
-(** Measured (not simulated) multicore runs: every workload × {reach,
-    full} SF-Order configuration on the work-stealing executor for each
-    domain count in [domains], written to [out] as a {!Bench_schema} v2
-    file whose detector keys are ["sf-order-<config>@d<domains>"]. The
-    printed table adds speedup vs the first domain count and the
-    synchronization counters the hot-path optimizations target
-    ([history.lock.contended], [history.cas.retry], [om.relabels] and
-    [reach.table.alloc_words]). Wall-clock speedup needs as many
-    hardware cores as domains; the counters are meaningful regardless. *)
-
-val profile :
-  scale:Sfr_workloads.Workload.scale ->
-  repeats:int ->
-  out:string ->
-  unit
-(** Run full detection for every workload × detector configuration and
-    write a {!Bench_schema} v2 result file to [out]: environment block,
-    median/MAD over the measured repeats (one warmup excluded), and each
-    run's {!Sfr_obs.Metrics} snapshot — including the [prof.*.ns] latency
-    histograms, since profiling is enabled for the duration, and [gc.*]
-    allocation deltas. The cross-commit trajectory artifact behind
-    [bench profile] and the input format of [bench perfdiff]. Also prints
-    a summary table. *)

@@ -2,11 +2,9 @@ module Workload = Sfr_workloads.Workload
 module Detector = Sfr_detect.Detector
 module Events = Sfr_runtime.Events
 module Serial_exec = Sfr_runtime.Serial_exec
-module Par_exec = Sfr_runtime.Par_exec
 module Trace = Sfr_runtime.Trace
 module Sim_sched = Sfr_runtime.Sim_sched
 module Stats = Sfr_support.Stats
-module Telemetry = Sfr_obs.Telemetry
 
 type mode =
   | Base
@@ -15,18 +13,12 @@ type mode =
 
 type measurement = {
   seconds : float;
-  stddev : float;
-  median : float;
-  mad : float;
-  samples : float list;
-  warmup : int;
   queries : int;
   reach_words : int;
   reach_table_words : int;
   history_words : int;
   max_readers : int;
   racy_locations : int;
-  metrics : (string * int) list;
 }
 
 let reach_only (cb : Events.callbacks) =
@@ -37,11 +29,9 @@ let reach_only (cb : Events.callbacks) =
     on_work = (fun _ _ -> ());
   }
 
-(* shared sample-then-summarize driver behind time_serial/time_parallel:
-   [exec cb root prog] is the execution engine being timed *)
-let time_with ~who ~exec ~warmup ~repeats make_instance mode =
-  if repeats < 1 then invalid_arg (who ^ ": repeats must be >= 1");
-  if warmup < 0 then invalid_arg (who ^ ": warmup must be >= 0");
+let time_serial ~repeats make_instance mode =
+  if repeats < 1 then invalid_arg "Runner.time_serial: repeats must be >= 1";
+  let exec cb root prog = Serial_exec.run cb ~root prog |> fst in
   let last_detector = ref None in
   let one () =
     let inst = make_instance () in
@@ -69,58 +59,30 @@ let time_with ~who ~exec ~warmup ~repeats make_instance mode =
         in
         dt
   in
-  (* warmup repeats pay the code/cache/allocator cold costs so the
-     measured samples reflect steady state; their times are discarded.
-     The marks delimit repeat boundaries in the telemetry timeline, so a
-     utilization dip can be told apart from an inter-repeat gap. *)
-  for _ = 1 to warmup do
-    Telemetry.mark "runner.warmup";
-    ignore (one ())
-  done;
-  let times =
-    List.init repeats (fun _ ->
-        Telemetry.mark "runner.sample";
-        one ())
-  in
-  let queries, reach_words, reach_table_words, history_words, max_readers, racy,
-      metrics =
+  (* one warmup repeat pays the code/cache/allocator cold costs so the
+     measured samples reflect steady state; its time is discarded *)
+  ignore (one ());
+  let times = List.init repeats (fun _ -> one ()) in
+  let queries, reach_words, reach_table_words, history_words, max_readers, racy =
     match !last_detector with
-    | None -> (0, 0, 0, 0, 0, 0, [])
+    | None -> (0, 0, 0, 0, 0, 0)
     | Some det ->
         ( det.Detector.queries (),
           det.Detector.reach_words (),
           det.Detector.reach_table_words (),
           det.Detector.history_words (),
           det.Detector.max_readers (),
-          List.length (Detector.racy_locations det),
-          det.Detector.metrics () )
+          List.length (Detector.racy_locations det) )
   in
   {
     seconds = Stats.mean times;
-    stddev = Stats.stddev times;
-    median = Stats.median times;
-    mad = Stats.mad times;
-    samples = times;
-    warmup;
     queries;
     reach_words;
     reach_table_words;
     history_words;
     max_readers;
     racy_locations = racy;
-    metrics;
   }
-
-let time_serial ?(warmup = 1) ~repeats make_instance mode =
-  time_with ~who:"Runner.time_serial"
-    ~exec:(fun cb root prog -> Serial_exec.run cb ~root prog |> fst)
-    ~warmup ~repeats make_instance mode
-
-let time_parallel ?(warmup = 1) ~repeats ~domains make_instance mode =
-  if domains < 1 then invalid_arg "Runner.time_parallel: domains must be >= 1";
-  time_with ~who:"Runner.time_parallel"
-    ~exec:(fun cb root prog -> Par_exec.run ~workers:domains cb ~root prog |> fst)
-    ~warmup ~repeats make_instance mode
 
 type recorded = {
   dag : Sfr_dag.Dag.t;

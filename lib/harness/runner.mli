@@ -17,47 +17,24 @@ type mode =
 
 type measurement = {
   seconds : float;  (** mean over measured repeats *)
-  stddev : float;  (** sample stddev; [0.0] when repeats < 2 *)
-  median : float;  (** robust center — what perfdiff compares *)
-  mad : float;  (** median absolute deviation; [0.0] when repeats < 2 *)
-  samples : float list;  (** the measured times, in run order *)
-  warmup : int;  (** discarded repeats that preceded [samples] *)
   queries : int;
   reach_words : int;
   reach_table_words : int;
   history_words : int;
   max_readers : int;
   racy_locations : int;
-  metrics : (string * int) list;
-      (** the last repeat's {!Sfr_detect.Detector}[.metrics] snapshot —
-          named counters (including [gc.*] deltas) attributed to that
-          detector instance. *)
 }
 
 val time_serial :
-  ?warmup:int ->
   repeats:int ->
   (unit -> Sfr_workloads.Workload.instance) ->
   mode ->
   measurement
 (** Each repeat instantiates a fresh workload instance and (for detector
     modes) a fresh detector; introspection fields come from the last
-    repeat. [warmup] (default 1) extra repeats run first and are excluded
-    from every statistic. *)
-
-val time_parallel :
-  ?warmup:int ->
-  repeats:int ->
-  domains:int ->
-  (unit -> Sfr_workloads.Workload.instance) ->
-  mode ->
-  measurement
-(** [time_serial] with the work-stealing executor
-    ({!Sfr_runtime.Par_exec}) on [domains] domains — real parallel
-    execution, not the scheduling simulation, so detector-internal
-    contention ([history.lock.contended], [history.cas.retry]) is
-    exercised and captured in [metrics]. Wall-clock speedup additionally
-    requires that many hardware cores. *)
+    repeat. One extra warmup repeat runs first and is excluded from
+    [seconds].
+    @raise Invalid_argument if [repeats < 1]. *)
 
 type recorded = {
   dag : Sfr_dag.Dag.t;

@@ -1,5 +1,5 @@
-(** Minimal JSON parser — just enough to round-trip {!Trace_event} output
-    and the bench profile dump in tests without an external dependency.
+(** Minimal JSON parser — just enough to round-trip {!Trace_event},
+    telemetry and audit output in tests without an external dependency.
 
     Handles the full JSON value grammar; [\u] escapes are decoded for
     code points below 256 (all this repo's emitters ever produce) and

@@ -23,7 +23,7 @@
 
     Timer histograms are ordinary {!Metrics} histograms named
     [prof.<site>.ns], so they ride along in {!Metrics.snapshot},
-    [Detector.metrics] diffs, [racedetect --stats] and [bench profile]
+    [Detector.metrics] diffs and [racedetect --stats]
     for free, as [prof.*.ns.le_N] / [prof.*.ns.count] entries. *)
 
 external now_ns : unit -> int = "sfr_prof_now_ns" [@@noalloc]

@@ -38,7 +38,7 @@ type t = {
 let mu = Mutex.create ()
 
 (* [current] keeps the most recent instance even after [stop] so the
-   ring stays inspectable ([samples], [pp_timeline]); [active] is the
+   ring stays inspectable ([samples]); [active] is the
    actual lifecycle bit. Both are guarded by [mu]. *)
 let current : t option ref = ref None
 let active = ref false
@@ -287,20 +287,22 @@ type sinks = {
   sample_ms : int;
 }
 
-let with_sinks ?probe ?(on_stop = ignore) s f =
+let with_sinks ?probe s f =
   if s.trace_out <> None then Trace_event.start ();
   (* telemetry rides along whenever a trace is requested, so the chrome
      view always gains counter tracks; [telemetry_out] adds the JSONL
      stream on top *)
   let telemetry_on = s.telemetry_out <> None || s.trace_out <> None in
-  if telemetry_on then
-    start ~sample_ms:s.sample_ms ?out:s.telemetry_out ?probe ();
+  (if telemetry_on then
+     try start ~sample_ms:s.sample_ms ?out:s.telemetry_out ?probe ()
+     with Sys_error msg ->
+       Printf.eprintf "cannot write telemetry: %s\n" msg;
+       exit 2);
   let r = f () in
   (* stop telemetry before the trace is written: the final sample's
      counter events must land inside the trace buffer *)
   if telemetry_on then begin
     stop ();
-    on_stop ();
     Option.iter
       (fun f ->
         Printf.printf "wrote telemetry (%d samples) to %s\n"
@@ -545,30 +547,3 @@ let lint_jsonl text =
                 (Printf.sprintf "header: telemetry_schema is not %d"
                    schema_version)
           | None -> Error "header: missing telemetry_schema"))
-
-(* -- utilization-over-time rendering ------------------------------------ *)
-
-let rate d dt_ms = if dt_ms <= 0.0 then 0.0 else float_of_int d *. 1000.0 /. dt_ms
-
-let pp_timeline ppf =
-  match samples () with
-  | [] | [ _ ] -> Format.fprintf ppf "  (telemetry: fewer than 2 samples)@."
-  | first :: _ as ss ->
-      Format.fprintf ppf
-        "  %10s %12s %12s %10s %12s  %s@." "t (ms)" "tasks/s" "steals/s"
-        "deque" "gc words" "marks";
-      let prev_t = ref first.t_ms in
-      List.iteri
-        (fun i s ->
-          let dt = s.t_ms -. !prev_t in
-          prev_t := s.t_ms;
-          if i > 0 then begin
-            let c n = Option.value ~default:0 (List.assoc_opt n s.counters) in
-            let g n = Option.value ~default:0 (List.assoc_opt n s.gauges) in
-            Format.fprintf ppf "  %10.1f %12.0f %12.0f %10d %12d  %s@." s.t_ms
-              (rate (c "runtime.tasks") dt)
-              (rate (c "runtime.steals") dt)
-              (g "sched.deque_depth") (g "gc.heap_words")
-              (String.concat "," s.marks)
-          end)
-        ss

@@ -80,8 +80,8 @@ val start :
 
 val stop : unit -> unit
 (** Take a final sample, join the sampler domain, close the JSONL
-    stream. Idempotent. The ring remains readable ({!samples},
-    {!pp_timeline}) until the next [start]. *)
+    stream. Idempotent. The ring remains readable ({!samples}) until the
+    next [start]. *)
 
 val running : unit -> bool
 
@@ -105,10 +105,6 @@ val sample_count : unit -> int
 (** Total samples taken since [start], including ones the ring has
     overwritten. *)
 
-val pp_timeline : Format.formatter -> unit
-(** Render the retained ring as a utilization-over-time table (tasks/s,
-    steals/s, deque depth, GC heap words, marks). *)
-
 (** {1 Command-line sinks} *)
 
 type sinks = {
@@ -121,7 +117,6 @@ type sinks = {
 
 val with_sinks :
   ?probe:(unit -> (string * int) list) ->
-  ?on_stop:(unit -> unit) ->
   sinks ->
   (unit -> 'a) ->
   'a
@@ -129,10 +124,12 @@ val with_sinks :
     them: {!Trace_event} collection starts when [trace_out] is set, and
     the sampler ({!start}, with [probe]) whenever either path is set, so
     a trace always carries counter tracks. After [f] the sampler stops
-    first — its final counter events land inside the trace — then
-    [on_stop] runs (e.g. to print {!pp_timeline}), and each written file
-    is announced on stdout. A trace that cannot be written prints
-    [cannot write trace: …] on stderr and exits 2. *)
+    first — its final counter events land inside the trace — and each
+    written file is announced on stdout. A telemetry file that cannot be
+    opened prints [cannot write telemetry: …] on stderr and exits 2
+    before [f] runs; a trace that cannot be written prints
+    [cannot write trace: …] and exits 2.
+    @raise Invalid_argument if the sampler starts with [sample_ms < 1]. *)
 
 (** {1 Wire formats} *)
 

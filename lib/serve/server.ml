@@ -217,11 +217,19 @@ let default_clock () =
   let t0 = Sfr_obs.Prof.now_ns () in
   fun () -> (Sfr_obs.Prof.now_ns () - t0) / 1_000_000
 
+let validate (cfg : config) =
+  let s = cfg.session and max = Sfr_eventlog.Stream_replay.max_shards in
+  if cfg.global_budget < 1 then Error "global_budget must be >= 1"
+  else if cfg.pool_domains < 0 then Error "pool_domains must be >= 0"
+  else if s.Session.credit_window < 1 then Error "credit_window must be >= 1"
+  else if s.Session.shards < 1 || s.Session.shards > max then
+    Error (Printf.sprintf "shards must be in 1..%d" max)
+  else Ok ()
+
 let create ?now_ms cfg =
-  if cfg.global_budget < 1 then
-    invalid_arg "Server.create: global_budget must be >= 1";
-  if cfg.pool_domains < 0 then
-    invalid_arg "Server.create: pool_domains must be >= 0";
+  (match validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Server.create: " ^ msg));
   let t =
     {
       cfg;

@@ -58,8 +58,15 @@ exception Fatal of string
 
 type t
 
+val validate : config -> (unit, string) result
+(** [Error] names the first out-of-range field: [global_budget < 1],
+    [pool_domains < 0], a session [credit_window < 1], or session
+    [shards] outside [1..]{!Sfr_eventlog.Stream_replay.max_shards}. *)
+
 val create : ?now_ms:(unit -> int) -> config -> t
-(** [now_ms] defaults to a monotonic wall clock. *)
+(** [now_ms] defaults to a monotonic wall clock.
+    @raise Invalid_argument when {!validate} rejects [cfg], before any
+    session or pool domain exists. *)
 
 type conn
 

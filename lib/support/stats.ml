@@ -22,8 +22,7 @@ let median xs =
       if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* Median absolute deviation: the robust spread companion to [median].
-   Not scaled to estimate sigma (no 1.4826 factor) — perfdiff thresholds
-   compare MADs to MADs, so the raw statistic is what we want. *)
+   Not scaled to estimate sigma (no 1.4826 factor): the raw statistic. *)
 let mad = function
   | [] | [ _ ] -> 0.0
   | xs ->

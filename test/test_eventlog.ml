@@ -197,6 +197,20 @@ let test_shard_of () =
       check Alcotest.bool (Printf.sprintf "shard %d populated" i) true (n > 32))
     hit
 
+(* Out-of-range shard counts are refused by [create], before any shard
+   domain could be spawned; no test here spawns that many. *)
+let test_shard_count_bounds () =
+  let rejects n =
+    match Stream_replay.create (Stream_replay.Sharded n) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "0 shards rejected" true (rejects 0);
+  check Alcotest.bool "max_shards + 1 rejected" true
+    (rejects (Stream_replay.max_shards + 1));
+  check Alcotest.bool "max_shards accepted" false
+    (rejects Stream_replay.max_shards)
+
 (* -- malformed logs ----------------------------------------------------- *)
 
 let expect_error name bytes pred =
@@ -549,6 +563,7 @@ let () =
         [
           Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
           Alcotest.test_case "partition function" `Quick test_shard_of;
+          Alcotest.test_case "shard count bounds" `Quick test_shard_count_bounds;
         ] );
       ( "malformed",
         [

@@ -226,7 +226,7 @@ let test_json_escape_decoding () =
     ]
 
 (* Round trip through the emitters' shared escaping discipline: encode
-   the way Trace_event/Bench_schema do, decode with Json_min. *)
+   the way Trace_event does, decode with Json_min. *)
 let emit_escaped s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';

@@ -1,12 +1,11 @@
 (* Tests for the perf-telemetry layer: Prof latency histograms wired into
    the reachability query, GC attribution deltas, the flight recorder's
-   crash dump, and the Bench_schema/perfdiff regression gate. *)
+   crash dump. *)
 
 module Metrics = Sfr_obs.Metrics
 module Prof = Sfr_obs.Prof
 module Flight = Sfr_obs.Flight
 module Json_min = Sfr_obs.Json_min
-module Bs = Sfr_harness.Bench_schema
 module Detector = Sfr_detect.Detector
 module Sf_order = Sfr_detect.Sf_order
 module Events = Sfr_runtime.Events
@@ -196,170 +195,6 @@ let test_flight_crash_dump_once () =
   Sys.remove path;
   check Alcotest.int "second crash_dump did not rewrite the file" size1 size2
 
-(* -- Bench_schema round-trip ------------------------------------------- *)
-
-let entry ?(mad = Some 0.0001) ?(workload = "w") ?(detector = "d") median =
-  {
-    Bs.workload;
-    detector;
-    repeats = 3;
-    warmup = 1;
-    median;
-    mad;
-    mean = median;
-    stddev = Some 0.00005;
-    samples = [ median; median +. 0.0001; median -. 0.0001 ];
-    queries = 42;
-    reach_words = 100;
-    history_words = 200;
-    max_readers = 3;
-    racy_locations = 0;
-    metrics = [ ("reach.query.gp", 7); ("gc.minor_words", 1234) ];
-  }
-
-let file ?(version = Bs.version) entries =
-  {
-    Bs.version;
-    env =
-      {
-        Bs.git_sha = "deadbeef";
-        ocaml_version = Sys.ocaml_version;
-        word_size = Sys.word_size;
-        domains = 4;
-        scale = "tiny";
-      };
-    entries;
-  }
-
-let test_schema_round_trip () =
-  (* hostile names: quote, backslash, control char, non-ASCII byte *)
-  let nasty = "w\"x\\y\x01z\xc3\xa9" in
-  let t = file [ entry 0.5; entry ~workload:nasty ~detector:"d\"2" 0.25 ] in
-  match Bs.of_json (Bs.to_json t) with
-  | Error e -> Alcotest.failf "round trip failed: %s" e
-  | Ok t' ->
-      check Alcotest.int "version" Bs.version t'.Bs.version;
-      check Alcotest.string "git sha" "deadbeef" t'.Bs.env.Bs.git_sha;
-      check Alcotest.int "entry count" 2 (List.length t'.Bs.entries);
-      let e = List.nth t'.Bs.entries 1 in
-      check Alcotest.string "escaped workload survives" nasty e.Bs.workload;
-      check Alcotest.string "escaped detector survives" "d\"2" e.Bs.detector;
-      check (Alcotest.float 1e-12) "median survives" 0.25 e.Bs.median;
-      check Alcotest.int "metrics survive" 2 (List.length e.Bs.metrics);
-      check Alcotest.(option (float 1e-12)) "mad survives" (Some 0.0001)
-        e.Bs.mad
-
-let test_schema_null_spread_for_single_repeat () =
-  let m =
-    {
-      Sfr_harness.Runner.seconds = 1.0;
-      stddev = 0.0;
-      median = 1.0;
-      mad = 0.0;
-      samples = [ 1.0 ];
-      warmup = 1;
-      queries = 0;
-      reach_words = 0;
-      reach_table_words = 0;
-      history_words = 0;
-      max_readers = 0;
-      racy_locations = 0;
-      metrics = [];
-    }
-  in
-  let e = Bs.of_measurement ~workload:"w" ~detector:"d" ~repeats:1 m in
-  check Alcotest.(option (float 0.0)) "mad omitted for repeats=1" None e.Bs.mad;
-  check
-    Alcotest.(option (float 0.0))
-    "stddev omitted for repeats=1" None e.Bs.stddev;
-  (* and the JSON spells it null, which reads back as None *)
-  let t = file [ e ] in
-  match Bs.of_json (Bs.to_json t) with
-  | Error err -> Alcotest.failf "round trip failed: %s" err
-  | Ok t' ->
-      check
-        Alcotest.(option (float 0.0))
-        "null mad parses back as None" None
-        (List.hd t'.Bs.entries).Bs.mad
-
-(* -- perfdiff verdicts -------------------------------------------------- *)
-
-let diff_exn old_ new_ =
-  match Bs.diff ~old_ ~new_ with
-  | Ok d -> d
-  | Error e -> Alcotest.failf "diff failed: %s" e
-
-let only_verdict d =
-  match d.Bs.deltas with
-  | [ x ] -> x.Bs.verdict
-  | _ -> Alcotest.fail "expected exactly one compared config"
-
-let verdict =
-  Alcotest.testable
-    (fun ppf -> function
-      | Bs.Improved -> Format.pp_print_string ppf "Improved"
-      | Bs.Unchanged -> Format.pp_print_string ppf "Unchanged"
-      | Bs.Regressed -> Format.pp_print_string ppf "Regressed")
-    ( = )
-
-let test_perfdiff_clean () =
-  let d = diff_exn (file [ entry 1.0 ]) (file [ entry 1.0 ]) in
-  check verdict "identical medians" Bs.Unchanged (only_verdict d);
-  check Alcotest.bool "no regression" false (Bs.has_regression d)
-
-let test_perfdiff_regression () =
-  let d = diff_exn (file [ entry 1.0 ]) (file [ entry 2.0 ]) in
-  check verdict "2x slowdown" Bs.Regressed (only_verdict d);
-  check Alcotest.bool "regression flagged" true (Bs.has_regression d)
-
-let test_perfdiff_improvement () =
-  let d = diff_exn (file [ entry 1.0 ]) (file [ entry 0.5 ]) in
-  check verdict "2x speedup" Bs.Improved (only_verdict d);
-  check Alcotest.bool "improvement is not a regression" false
-    (Bs.has_regression d)
-
-let test_perfdiff_noise_tolerance () =
-  (* +5% is inside the 10% floor *)
-  let d = diff_exn (file [ entry 1.0 ]) (file [ entry 1.05 ]) in
-  check verdict "5% is noise" Bs.Unchanged (only_verdict d);
-  (* +15% clears the floor with a tiny MAD... *)
-  let d = diff_exn (file [ entry 1.0 ]) (file [ entry 1.15 ]) in
-  check verdict "15% with tight MAD" Bs.Regressed (only_verdict d);
-  (* ...but not when either run was noisy: 3 x MAD(0.1) = 0.3 gate *)
-  let d =
-    diff_exn (file [ entry ~mad:(Some 0.1) 1.0 ]) (file [ entry 1.15 ])
-  in
-  check verdict "15% inside 3 MADs" Bs.Unchanged (only_verdict d);
-  (* single-repeat files (mad = None) fall back to the 10% floor *)
-  let d = diff_exn (file [ entry ~mad:None 1.0 ]) (file [ entry ~mad:None 1.2 ]) in
-  check verdict "20% with unknown spread" Bs.Regressed (only_verdict d)
-
-let test_perfdiff_added_removed () =
-  let d =
-    diff_exn
-      (file [ entry 1.0; entry ~workload:"gone" 1.0 ])
-      (file [ entry 1.0; entry ~workload:"fresh" 1.0 ])
-  in
-  check Alcotest.int "one compared" 1 (List.length d.Bs.deltas);
-  check
-    Alcotest.(list (pair string string))
-    "added" [ ("fresh", "d") ] d.Bs.added;
-  check
-    Alcotest.(list (pair string string))
-    "removed"
-    [ ("gone", "d") ]
-    d.Bs.removed
-
-let test_perfdiff_schema_mismatch () =
-  (match Bs.diff ~old_:(file ~version:1 [ entry 1.0 ]) ~new_:(file [ entry 1.0 ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v1 vs v2 must not compare");
-  match Bs.of_json {|{"schema_version":1,"env":{},"entries":[]}|} with
-  | Error msg ->
-      check Alcotest.bool "error names the version" true
-        (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "v1 file must be rejected"
-
 let () =
   Alcotest.run "prof"
     [
@@ -389,24 +224,5 @@ let () =
             test_flight_crash_dump_on_raising_parallel_run;
           Alcotest.test_case "crash dump fires once" `Quick
             test_flight_crash_dump_once;
-        ] );
-      ( "schema",
-        [
-          Alcotest.test_case "round trip with hostile names" `Quick
-            test_schema_round_trip;
-          Alcotest.test_case "single repeat has null spread" `Quick
-            test_schema_null_spread_for_single_repeat;
-        ] );
-      ( "perfdiff",
-        [
-          Alcotest.test_case "clean" `Quick test_perfdiff_clean;
-          Alcotest.test_case "regression" `Quick test_perfdiff_regression;
-          Alcotest.test_case "improvement" `Quick test_perfdiff_improvement;
-          Alcotest.test_case "noise tolerance" `Quick
-            test_perfdiff_noise_tolerance;
-          Alcotest.test_case "added and removed configs" `Quick
-            test_perfdiff_added_removed;
-          Alcotest.test_case "schema mismatch rejected" `Quick
-            test_perfdiff_schema_mismatch;
         ] );
     ]

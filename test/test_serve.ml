@@ -133,6 +133,25 @@ let mk_cfg ?(session = Session.default_config) ?(budget = 4 * 1024 * 1024)
     defer_ingest = defer;
   }
 
+(* Session settings are checked when the server is created, not on the
+   first connection after its HELLO has been audited. *)
+let test_create_validates_session () =
+  let rejects session =
+    match Server.create (mk_cfg ~session ()) with
+    | server ->
+        Server.shutdown server;
+        false
+    | exception Invalid_argument _ -> true
+  in
+  let d = Session.default_config in
+  check Alcotest.bool "shards = 0 rejected" true
+    (rejects { d with shards = 0 });
+  check Alcotest.bool "shards above the replay maximum rejected" true
+    (rejects { d with shards = Stream_replay.max_shards + 1 });
+  check Alcotest.bool "credit_window = 0 rejected" true
+    (rejects { d with credit_window = 0 });
+  check Alcotest.bool "defaults accepted" false (rejects d)
+
 let with_server ?now_ms cfg f =
   let server = Server.create ?now_ms cfg in
   Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
@@ -778,6 +797,11 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_frame_round_trip;
           Alcotest.test_case "typed errors" `Quick test_frame_errors;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "create validates session" `Quick
+            test_create_validates_session;
         ] );
       ( "verdicts",
         [

@@ -367,17 +367,6 @@ let test_probe_consistency () =
          && List.assoc_opt "sched.tasks" pm = Some (sum p.Par_exec.tasks)
          && List.mem_assoc "sched.w3.tasks" pm)
 
-(* -- timeline rendering -------------------------------------------------- *)
-
-let test_timeline_renders () =
-  Telemetry.stop ();
-  Telemetry.start ~sample_ms:2 ();
-  wait_for_samples 3;
-  Telemetry.stop ();
-  let out = Format.asprintf "%t" Telemetry.pp_timeline in
-  check Alcotest.bool "timeline has header and rows" true
-    (String.length out > 0 && String.contains out '\n')
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -415,6 +404,4 @@ let () =
       ( "probe",
         [ Alcotest.test_case "4-domain consistency" `Quick
             test_probe_consistency ] );
-      ( "timeline",
-        [ Alcotest.test_case "renders" `Quick test_timeline_renders ] );
     ]
