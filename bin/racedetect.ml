@@ -9,10 +9,9 @@
                     [--stats] [--trace-out FILE] [--flight-dump FILE]
      racedetect synth --seed 42 [--ops 200] [--depth 5] [--locs 16]
                       [--detector sf-order] [--oracle] [--no-verify] [--stats]
-     racedetect record --workload mm -o mm.sflog          (binary event log)
-     racedetect record --workload mm --format sfdag -o mm.trace
+     racedetect record --workload mm -o mm.sflog [--executor parallel]
      racedetect replay mm.sflog [--detector sf-order] [--shards N]
-     racedetect analyze mm.trace
+     racedetect analyze mm.sflog    (dag, work/span, naive race verdict)
      racedetect metrics-dump [--workload mm] [--check] [-o FILE]
      racedetect telemetry-lint t.jsonl [--min-samples N]
      racedetect serve --socket /tmp/rd.sock [--budget BYTES]
@@ -71,6 +70,30 @@ let detector_term ?(extra_doc = "") () =
           ("Detector name (see $(b,racedetect detectors)); $(b,help) prints \
             the registry listing." ^ extra_doc))
 
+(* Integer counts of at least 1 (and at most [hi]): a bad value exits 2
+   at parse time instead of reaching the code that would reject it. *)
+let positive_upto hi =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n <= hi -> Ok n
+        | Some _ | None ->
+            Error
+              (`Msg
+                 (if hi = max_int then Printf.sprintf "%S is not an integer >= 1" s
+                  else Printf.sprintf "%S is not an integer in 1..%d" s hi))),
+      Format.pp_print_int )
+
+let positive = positive_upto max_int
+
+(* -j/--workers, shared by run, record and chaos. *)
+let workers_term ?(default = 2) ~doc () =
+  Arg.(
+    value
+    & opt (positive_upto Par_exec.max_workers) default
+    & info [ "j"; "workers" ] ~docv:"N"
+        ~doc:(Printf.sprintf "%s At most %d." doc Par_exec.max_workers))
+
 (* --trace-out / --telemetry-out / --sample-ms, shared by the entry
    points that arm observability sinks (see Telemetry.with_sinks). *)
 let sinks_term ~trace_doc ~telemetry_doc =
@@ -85,15 +108,6 @@ let sinks_term ~trace_doc ~telemetry_doc =
       value
       & opt (some string) None
       & info [ "telemetry-out" ] ~docv:"FILE" ~doc:telemetry_doc)
-  in
-  let positive =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | Some _ | None ->
-              Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))),
-        Format.pp_print_int )
   in
   let sample_ms =
     Arg.(
@@ -205,9 +219,7 @@ let run_cmd =
       & opt (enum [ ("serial", `Serial); ("parallel", `Parallel) ]) `Serial
       & info [ "e"; "executor" ] ~doc:"Executor: serial or parallel.")
   in
-  let workers =
-    Arg.(value & opt int 2 & info [ "j"; "workers" ] ~doc:"Parallel workers.")
-  in
+  let workers = workers_term ~doc:"Parallel workers." () in
   let inject =
     Arg.(value & flag & info [ "inject-race" ] ~doc:"Plant a determinacy race.")
   in
@@ -263,12 +275,6 @@ let run_cmd =
             det.Detector.name (Detectors.listing ());
           exit 2
         end;
-        Printf.printf "%s @ %s under %s (%s)\n" w.Workload.name
-          (Format.asprintf "%a" Workload.pp_scale scale)
-          entry.Detectors.name
-          (match executor with
-          | `Serial -> "serial execution"
-          | `Parallel -> Printf.sprintf "parallel execution, %d workers" workers);
         let disc = if check_discipline then Some (Discipline.make ()) else None in
         let callbacks, root =
           match disc with
@@ -280,9 +286,18 @@ let run_cmd =
         (* latency histograms only fill while profiling is on; --stats is
            the request to see them *)
         if stats then Sfr_obs.Prof.enable ();
+        (* the header prints once the sinks are open: a sink that cannot
+           be opened exits 2 with nothing on stdout *)
         let (), dt =
           Sfr_obs.Telemetry.with_sinks ~probe:Par_exec.probe_metrics sinks
             (fun () ->
+              Printf.printf "%s @ %s under %s (%s)\n" w.Workload.name
+                (Format.asprintf "%a" Workload.pp_scale scale)
+                entry.Detectors.name
+                (match executor with
+                | `Serial -> "serial execution"
+                | `Parallel ->
+                    Printf.sprintf "parallel execution, %d workers" workers);
               Stats.time (fun () ->
                   match executor with
                   | `Serial ->
@@ -465,9 +480,9 @@ let telemetry_lint_cmd =
 
 let record_cmd =
   let doc =
-    "Run a benchmark instrumented for recording only and save the execution: \
-     a compact binary event log (sflog, for $(b,replay)) or a textual dag + \
-     access dump (sfdag, for $(b,analyze))."
+    "Run a benchmark instrumented for recording only and save the execution \
+     as a compact binary event log (sflog), for $(b,replay) and \
+     $(b,analyze)."
   in
   let workload =
     Arg.(
@@ -490,86 +505,49 @@ let record_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("sflog", `Sflog); ("sfdag", `Sfdag) ]) `Sflog
-      & info [ "format" ]
-          ~doc:"Output format: sflog (binary event log) or sfdag (dag text).")
-  in
   let executor =
     Arg.(
       value
       & opt (enum [ ("serial", `Serial); ("parallel", `Parallel) ]) `Serial
       & info [ "e"; "executor" ]
           ~doc:
-            "Executor: serial or parallel (sflog only; parallel logs replay \
-             under any order-insensitive detector).")
+            "Executor: serial or parallel (parallel logs replay under any \
+             order-insensitive detector).")
   in
-  let workers =
-    Arg.(value & opt int 2 & info [ "j"; "workers" ] ~doc:"Parallel workers.")
-  in
-  let run workload scale inject out format executor workers =
+  let workers = workers_term ~doc:"Parallel workers." () in
+  let run workload scale inject out executor workers =
     match Registry.find workload with
     | None ->
         Printf.eprintf "unknown workload %S (try: racedetect list)\n" workload;
         exit 2
-    | Some w -> (
+    | Some w ->
         let inst = w.Workload.instantiate ~inject_race:inject scale in
-        match format with
-        | `Sflog ->
-            let rec_, cb, root =
-              try Sfr_eventlog.Recorder.create ~path:out ()
-              with Sys_error msg ->
-                Printf.eprintf "cannot open %s: %s\n" out msg;
-                exit 2
-            in
-            let (), dt =
-              Stats.time (fun () ->
-                  match executor with
-                  | `Serial -> Serial_exec.run cb ~root inst.Workload.program |> fst
-                  | `Parallel ->
-                      Par_exec.run ~workers cb ~root inst.Workload.program |> fst)
-            in
-            let s = Sfr_eventlog.Recorder.close rec_ in
-            Printf.printf
-              "recorded %d events (%d strands, %d worker stream(s)) to %s\n"
-              s.Sfr_eventlog.Recorder.events s.Sfr_eventlog.Recorder.states
-              s.Sfr_eventlog.Recorder.workers out;
-            Printf.printf "%d bytes in %d chunk(s), %.1f bytes/event\n"
-              s.Sfr_eventlog.Recorder.bytes s.Sfr_eventlog.Recorder.flushes
-              (float_of_int s.Sfr_eventlog.Recorder.bytes
-              /. float_of_int (max 1 s.Sfr_eventlog.Recorder.events));
-            Printf.eprintf "recorded in %.3f s (%.0f events/s)\n" dt
-              (float_of_int s.Sfr_eventlog.Recorder.events /. Float.max 1e-9 dt)
-        | `Sfdag ->
-            if executor = `Parallel then begin
-              Printf.eprintf
-                "sfdag recording is serial-only (the dag dump is \
-                 schedule-independent anyway)\n";
-              exit 2
-            end;
-            let trace, cb, root = Trace.make ~log_accesses:true () in
-            let (), _ = Serial_exec.run cb ~root inst.Workload.program in
-            let accesses =
-              List.map
-                (fun (a : Trace.access) ->
-                  {
-                    Sfr_dag.Dag_io.node = a.Trace.node;
-                    loc = a.Trace.loc;
-                    is_write = a.Trace.is_write;
-                  })
-                (Trace.accesses trace)
-            in
-            Sfr_dag.Dag_io.save_file out ~accesses (Trace.dag trace);
-            Printf.printf "recorded %d nodes, %d futures, %d accesses to %s\n"
-              (Sfr_dag.Dag.n_nodes (Trace.dag trace))
-              (Sfr_dag.Dag.n_futures (Trace.dag trace))
-              (List.length accesses) out)
+        let rec_, cb, root =
+          try Sfr_eventlog.Recorder.create ~path:out ()
+          with Sys_error msg ->
+            Printf.eprintf "cannot open %s: %s\n" out msg;
+            exit 2
+        in
+        let (), dt =
+          Stats.time (fun () ->
+              match executor with
+              | `Serial -> Serial_exec.run cb ~root inst.Workload.program |> fst
+              | `Parallel ->
+                  Par_exec.run ~workers cb ~root inst.Workload.program |> fst)
+        in
+        let s = Sfr_eventlog.Recorder.close rec_ in
+        Printf.printf "recorded %d events (%d strands, %d worker stream(s)) to %s\n"
+          s.Sfr_eventlog.Recorder.events s.Sfr_eventlog.Recorder.states
+          s.Sfr_eventlog.Recorder.workers out;
+        Printf.printf "%d bytes in %d chunk(s), %.1f bytes/event\n"
+          s.Sfr_eventlog.Recorder.bytes s.Sfr_eventlog.Recorder.flushes
+          (float_of_int s.Sfr_eventlog.Recorder.bytes
+          /. float_of_int (max 1 s.Sfr_eventlog.Recorder.events));
+        Printf.eprintf "recorded in %.3f s (%.0f events/s)\n" dt
+          (float_of_int s.Sfr_eventlog.Recorder.events /. Float.max 1e-9 dt)
   in
   Cmd.v (Cmd.info "record" ~doc)
-    Term.(
-      const run $ workload $ scale $ inject $ out $ format $ executor $ workers)
+    Term.(const run $ workload $ scale $ inject $ out $ executor $ workers)
 
 let replay_cmd =
   let doc =
@@ -668,9 +646,14 @@ let replay_cmd =
     Term.(const run $ file $ detector $ shards $ stats $ no_verify)
 
 let analyze_cmd =
-  let doc = "Offline analysis of a recorded sfdag trace: races, work/span, speedups." in
+  let doc =
+    "Offline analysis of a recorded event log: the dag's structure, \
+     work/span, simulated speedups, and the exhaustive (naive) race verdict. \
+     Exits 1 when races are found, like $(b,replay)."
+  in
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Trace file.")
+    Arg.(
+      required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Event log.")
   in
   let no_verify =
     Arg.(
@@ -678,26 +661,22 @@ let analyze_cmd =
       & info [ "no-verify" ] ~doc:"Exit 0 even when races are found.")
   in
   let run file no_verify =
-    let magic = Sfr_eventlog.Log_format.magic in
-    let head =
-      In_channel.with_open_bin file (fun ic ->
-          In_channel.really_input_string ic (String.length magic))
+    let trace, det = Naive_detector.trace_detector () in
+    let v =
+      try Stream_replay.run_file (Stream_replay.Detector det) file
+      with Sys_error msg ->
+        Printf.eprintf "%s: %s\n" file msg;
+        exit 2
     in
-    if head = Some magic then begin
-      Printf.eprintf "%s is a binary event log; use: racedetect replay %s\n"
-        file file;
+    if v.Stream_replay.status <> Stream_replay.Complete then begin
+      Printf.eprintf "%s: %s\n" file
+        (Stream_replay.status_to_string v.Stream_replay.status);
       exit 2
     end;
-    let dag, accesses =
-      match Sfr_dag.Dag_io.load_file_result file with
-      | Ok v -> v
-      | Error e ->
-          Printf.eprintf "%s: %s\n" file (Sfr_dag.Dag_io.parse_error_to_string e);
-          exit 2
-    in
     let module Dag = Sfr_dag.Dag in
     let module Dag_algo = Sfr_dag.Dag_algo in
     let module Dag_check = Sfr_dag.Dag_check in
+    let dag = Trace.dag trace and accesses = Trace.accesses trace in
     Printf.printf "dag: %d nodes, %d futures\n" (Dag.n_nodes dag) (Dag.n_futures dag);
     (match Dag_check.validate_sf dag with
     | [] -> print_endline "structure: well-formed SF-dag"
@@ -712,13 +691,7 @@ let analyze_cmd =
         Printf.printf "  simulated speedup on %2d workers: %.2fx\n" p
           (Sfr_runtime.Sim_sched.speedup dag ~workers:p))
       [ 2; 4; 8; 16 ];
-    let log =
-      List.map
-        (fun (a : Sfr_dag.Dag_io.access) ->
-          { Trace.node = a.Sfr_dag.Dag_io.node; loc = a.loc; is_write = a.is_write })
-        accesses
-    in
-    let v = Naive_detector.analyze dag log in
+    let v = Naive_detector.analyze dag accesses in
     Printf.printf "accesses: %d; racy locations: %d (%d racing pairs)\n"
       (List.length accesses)
       (List.length v.Naive_detector.racy_locations)
@@ -824,9 +797,7 @@ let chaos_cmd =
              10-100x larger --ops.")
   in
   let workers =
-    Arg.(
-      value & opt int 4
-      & info [ "j"; "workers" ] ~doc:"Parallel workers (1 forces serial).")
+    workers_term ~default:4 ~doc:"Parallel workers (1 forces serial)." ()
   in
   let no_chaos =
     Arg.(
@@ -851,7 +822,11 @@ let chaos_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "out" ] ~docv:"DIR" ~doc:"Dump failing programs as sfdag files.")
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:
+            "Record each failing program (shrunk, with $(b,--shrink)) to \
+             $(docv)/chaos-repro-SEED.sflog, for $(b,analyze) or \
+             $(b,replay).")
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print chaos metric counters.")

@@ -6,7 +6,7 @@ module Trace = Sfr_runtime.Trace
 module Synthetic = Sfr_workloads.Synthetic
 module Detector = Sfr_detect.Detector
 module Naive_detector = Sfr_detect.Naive_detector
-module Dag_io = Sfr_dag.Dag_io
+module Recorder = Sfr_eventlog.Recorder
 
 let m_mismatches = Metrics.counter "chaos.mismatches"
 let m_seeds = Metrics.counter "chaos.seeds"
@@ -146,21 +146,11 @@ let dump_repro cfg ~seed t =
   match cfg.out_dir with
   | None -> None
   | Some dir ->
+      let path = Filename.concat dir (Printf.sprintf "chaos-repro-%d.sflog" seed) in
       let inst = Synthetic.instantiate t in
-      let trace, cb, root = Trace.make ~log_accesses:true () in
-      let (), _ = Serial_exec.run cb ~root inst.Synthetic.program in
-      let accesses =
-        List.rev_map
-          (fun (a : Trace.access) ->
-            {
-              Dag_io.node = a.Trace.node;
-              loc = a.Trace.loc;
-              is_write = a.Trace.is_write;
-            })
-          (Trace.accesses trace)
-      in
-      let path = Filename.concat dir (Printf.sprintf "chaos-repro-%d.sfdag" seed) in
-      Dag_io.save_file path ~accesses (Trace.dag trace);
+      let rec_, cb, root = Recorder.create ~path () in
+      ignore (Serial_exec.run cb ~root inst.Synthetic.program);
+      ignore (Recorder.close rec_);
       Some path
 
 let run_seed cfg ~make ~seed =

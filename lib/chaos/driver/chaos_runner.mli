@@ -10,8 +10,9 @@
     {!Sfr_chaos.Chaos.Injected} fault.
 
     Failures re-run deterministically (same seed, same chaos stream) and
-    optionally shrink to a minimal reproducer ({!Shrink}), dumped as an
-    sfdag file for [racedetect analyze]. Counters: [chaos.seeds],
+    optionally shrink to a minimal reproducer ({!Shrink}), recorded
+    serially to [chaos-repro-SEED.sflog] for [racedetect analyze] or
+    [racedetect replay]. Counters: [chaos.seeds],
     [chaos.mismatches] (plus [chaos.shrink_steps] from the shrinker). *)
 
 module Chaos = Sfr_chaos.Chaos
@@ -35,7 +36,7 @@ type config = {
   workers : int;  (** parallel workers (1 = serial even for parallel-capable) *)
   chaos : Chaos.config option;  (** [None] disables injection entirely *)
   shrink : bool;  (** delta-debug failures to minimal reproducers *)
-  out_dir : string option;  (** where to dump reproducer sfdag files *)
+  out_dir : string option;  (** where to record reproducer .sflog files *)
   oracle : oracle_spec;  (** how ground truth is computed *)
 }
 

@@ -45,3 +45,21 @@ let analyze dag accesses =
     pairs_checked = !pairs;
     races_found = !races;
   }
+
+let trace_detector () =
+  let trace, callbacks, root = Trace.make ~log_accesses:true () in
+  let zero () = 0 in
+  ( trace,
+    {
+      Detector.name = "trace";
+      callbacks;
+      root;
+      races = Race.create ();
+      queries = zero;
+      reach_words = zero;
+      reach_table_words = zero;
+      history_words = zero;
+      max_readers = zero;
+      metrics = Detector.no_metrics;
+      supports_parallel = true;
+    } )

@@ -13,3 +13,10 @@ type verdict = {
 }
 
 val analyze : Sfr_dag.Dag.t -> Sfr_runtime.Trace.access list -> verdict
+
+val trace_detector : unit -> Sfr_runtime.Trace.t * Detector.t
+(** A fresh access-logging {!Sfr_runtime.Trace} seen as a {!Detector.t}:
+    Trace's callbacks and root, an empty race set, zero counters, and
+    [supports_parallel = true]. It reports nothing itself; it lets an
+    engine that drives detectors — the event-log replay — rebuild the
+    dag and access log that {!analyze} consumes. *)

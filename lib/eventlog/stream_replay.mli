@@ -2,7 +2,9 @@
     or still arriving.
 
     Every path that applies a log — offline [racedetect replay], with or
-    without [--shards], and the [serve] daemon's sessions — runs here.
+    without [--shards], [racedetect analyze] (into a dag-recording
+    {!Sfr_detect.Naive_detector.trace_detector}), and the [serve]
+    daemon's sessions — runs here.
     The engine keeps a {!Stream_reader}, a growable state table, and a
     detector, and applies events {e resumably}: feed bytes, {!step}
     applies every event that became ready, and the race report is

@@ -412,12 +412,16 @@ let worker_loop sched me =
   done;
   Metrics.domain_exit ()
 
+let max_workers = 64
+
 let run ?workers cb ~root main =
   let nw =
     match workers with
-    | Some n when n >= 1 -> n
-    | Some _ -> invalid_arg "Par_exec.run: workers must be >= 1"
-    | None -> Domain.recommended_domain_count ()
+    | Some n when n >= 1 && n <= max_workers -> n
+    | Some _ ->
+        invalid_arg
+          (Printf.sprintf "Par_exec.run: workers must be in 1..%d" max_workers)
+    | None -> min max_workers (Domain.recommended_domain_count ())
   in
   let sched =
     {

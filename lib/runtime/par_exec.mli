@@ -78,6 +78,10 @@ val probe_metrics : unit -> (string * int) list
     [sched.steals], [sched.idle_spins], then per-worker
     [sched.w<i>.…] variants. Empty if no run has started. *)
 
+val max_workers : int
+(** 64: the most workers {!run} accepts. Each worker past the first is
+    its own domain, and OCaml 5 caps a process at 128 live domains. *)
+
 val run :
   ?workers:int ->
   Events.callbacks ->
@@ -85,7 +89,9 @@ val run :
   (unit -> 'a) ->
   'a * Events.state
 (** [run ~workers callbacks ~root main] — defaults to
-    [Domain.recommended_domain_count ()] workers. Returns [main]'s result
-    and the root computation's final (put-node) state. Returns only after
-    {e all} tasks, including created futures whose handles escaped, have
-    completed. *)
+    [Domain.recommended_domain_count ()] workers (at most {!max_workers}).
+    Returns [main]'s result and the root computation's final (put-node)
+    state. Returns only after {e all} tasks, including created futures
+    whose handles escaped, have completed.
+    @raise Invalid_argument when [workers] is outside [1..max_workers],
+    before any domain is spawned. *)

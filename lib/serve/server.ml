@@ -220,7 +220,11 @@ let default_clock () =
 let validate (cfg : config) =
   let s = cfg.session and max = Sfr_eventlog.Stream_replay.max_shards in
   if cfg.global_budget < 1 then Error "global_budget must be >= 1"
-  else if cfg.pool_domains < 0 then Error "pool_domains must be >= 0"
+  else if cfg.pool_domains < 0 || cfg.pool_domains > Sfr_runtime.Par_exec.max_workers
+  then
+    Error
+      (Printf.sprintf "pool_domains must be in 0..%d"
+         Sfr_runtime.Par_exec.max_workers)
   else if s.Session.credit_window < 1 then Error "credit_window must be >= 1"
   else if s.Session.shards < 1 || s.Session.shards > max then
     Error (Printf.sprintf "shards must be in 1..%d" max)
@@ -329,9 +333,13 @@ let settle t conn (eff : Session.effect_) =
 let over_budget t =
   with_lock t.smu (fun () -> t.global_queued > t.cfg.global_budget)
 
-(* The universal follow-up driver: settle an effect, then apply the
-   overload action it demanded. Shedding produces a second effect that
-   is settled recursively (it only releases bytes, so recursion
+(* The universal follow-up driver: apply the overload action a settled
+   effect demanded. Each effect is settled under the [conn.cmu] that
+   produced it (cmu -> smu), so one connection's accepts and releases
+   reach [global_queued] in the order they happened: settled after the
+   lock, a drain's release could overtake the accept it drains and
+   drive the global queue negative. Shedding produces a second effect
+   that is settled the same way (it only releases bytes, so recursion
    terminates immediately). *)
 let rec apply_post t post =
   match post with
@@ -369,12 +377,10 @@ let rec apply_post t post =
                 Audit.emit
                   (Audit.Shed { session = Session.id s; evicted = queued });
                 send_frames conn eff.Session.send;
-                Some eff
+                Some (settle t conn eff)
             | _ -> None)
       in
-      (match eff with
-      | Some eff -> apply_post t (settle t conn eff)
-      | None -> ())
+      Option.iter (apply_post t) eff
 
 (* Schedule (or run inline) the drain loop for a connection. *)
 let rec drain_loop t conn =
@@ -384,18 +390,18 @@ let rec drain_loop t conn =
         | Some s when Session.needs_ingest s ->
             let eff = Session.ingest s in
             send_frames conn eff.Session.send;
-            Some eff
+            Some (settle t conn eff)
         | Some s when conn.gone && not (Session.finished s) ->
             let eff = Session.on_disconnect s in
             send_frames conn eff.Session.send;
-            Some eff
+            Some (settle t conn eff)
         | _ ->
             conn.busy <- false;
             None)
   in
   match continue_ with
-  | Some eff ->
-      apply_post t (settle t conn eff);
+  | Some post ->
+      apply_post t post;
       drain_loop t conn
   | None -> ()
 
@@ -543,19 +549,19 @@ let on_bytes t conn bytes ~pos ~len =
                        t.cfg.global_budget)
               in
               send_frames conn eff.Session.send;
-              Some eff
+              Some (eff, settle t conn eff)
             end
             else begin
               let eff = Session.on_bytes s ~now_ms:now bytes ~pos ~len in
               send_frames conn eff.Session.send;
-              Some eff
+              Some (eff, settle t conn eff)
             end
         | _ -> None)
   in
   match eff with
   | None -> ()
-  | Some eff ->
-      apply_post t (settle t conn eff);
+  | Some (eff, post) ->
+      apply_post t post;
       (* Admin replies are built outside conn.cmu (stats take the server
          lock; cmu -> smu is the allowed order but holding cmu across
          the whole table walk would stall this connection's data plane)
@@ -589,13 +595,11 @@ let tick t =
                         Metrics.incr m_idle
                     | _ -> ());
                     send_frames conn eff.Session.send;
-                    Some eff
+                    Some (settle t conn eff)
                 | None -> None)
             | _ -> None)
       in
-      match eff with
-      | None -> ()
-      | Some eff -> apply_post t (settle t conn eff))
+      Option.iter (apply_post t) eff)
     conns;
   if t.cfg.defer_ingest then List.iter (fun conn -> pump t conn) conns
 

@@ -5,7 +5,8 @@
    (2) injected faults surface as Chaos.Injected at the join, they do not
    hang or kill workers; (3) the differential runner catches a
    deliberately broken detector and the shrinker reduces its failing
-   program to a small deterministic reproducer. *)
+   program to a small deterministic reproducer; (4) a dumped reproducer
+   is a complete event log carrying the oracle's verdict. *)
 
 module Chaos = Sfr_chaos.Chaos
 module Runner = Sfr_chaos_driver.Chaos_runner
@@ -16,6 +17,9 @@ module Par_exec = Sfr_runtime.Par_exec
 module Events = Sfr_runtime.Events
 module Detector = Sfr_detect.Detector
 module Sf_order = Sfr_detect.Sf_order
+module Naive_detector = Sfr_detect.Naive_detector
+module Trace = Sfr_runtime.Trace
+module Stream_replay = Sfr_eventlog.Stream_replay
 
 let check = Alcotest.check
 
@@ -163,6 +167,57 @@ let test_shrinker_minimizes_deterministically () =
   check Alcotest.bool "reproducer is racy" true
     (oracle_verdict.Runner.racy <> [])
 
+(* A detector whose callbacks record nothing never reports a race, so
+   the first racy seed mismatches; its reproducer must be a complete log
+   whose naive verdict is the oracle's. *)
+let test_repro_dump_replays () =
+  let dir = Filename.temp_dir "sfr_chaos" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let cfg =
+        {
+          Runner.default_config with
+          Runner.workers = 1;
+          chaos = None;
+          out_dir = Some dir;
+        }
+      in
+      let deaf () =
+        {
+          (Sf_order.make ()) with
+          Detector.name = "deaf";
+          callbacks = Events.null;
+          root = Events.Unit_state;
+        }
+      in
+      let rec first_failure seed =
+        if seed > 50 then Alcotest.fail "no seed exposed the deaf detector"
+        else
+          match Runner.run_seed cfg ~make:deaf ~seed with
+          | Runner.Failed m -> m
+          | _ -> first_failure (seed + 1)
+      in
+      let m = first_failure 1 in
+      check Alcotest.bool "oracle saw races" true
+        (m.Runner.expected.Runner.racy <> []);
+      let path = Option.get m.Runner.repro_path in
+      check Alcotest.string "repro file name"
+        (Printf.sprintf "chaos-repro-%d.sflog" m.Runner.seed)
+        (Filename.basename path);
+      let trace, det = Naive_detector.trace_detector () in
+      let v = Stream_replay.run_file (Stream_replay.Detector det) path in
+      check Alcotest.string "repro replays complete" "complete"
+        (Stream_replay.status_to_string v.Stream_replay.status);
+      let naive =
+        Naive_detector.analyze (Trace.dag trace) (Trace.accesses trace)
+      in
+      check Alcotest.int "naive verdict of the repro matches the oracle"
+        (List.length m.Runner.expected.Runner.racy)
+        (List.length naive.Naive_detector.racy_locations))
+
 (* -- of_tree sanitization ---------------------------------------------- *)
 
 let test_of_tree_drops_orphan_gets () =
@@ -201,6 +256,7 @@ let () =
             test_runner_clean_detector;
           Alcotest.test_case "buggy detector caught" `Quick
             test_runner_catches_buggy_detector;
+          Alcotest.test_case "repro dump replays" `Quick test_repro_dump_replays;
           Alcotest.test_case "shrinker minimizes" `Quick
             test_shrinker_minimizes_deterministically;
           Alcotest.test_case "of_tree sanitizes" `Quick

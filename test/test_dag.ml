@@ -282,66 +282,6 @@ let prop_counts_consistent =
                 (fun f -> Dag.get_node_of t f <> None)
                 (List.init (Dag.n_futures t) Fun.id)))
 
-
-(* ------------------------------------------------------------------ *)
-(* Serialization round-trip                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Dag_io = Sfr_dag.Dag_io
-
-let dag_equal a b =
-  let open Dag_algo in
-  let ca = counts a and cb = counts b in
-  ca = cb
-  && List.init (Dag.n_nodes a) Fun.id
-     |> List.for_all (fun v ->
-            Dag.kind_of a v = Dag.kind_of b v
-            && Dag.future_of a v = Dag.future_of b v
-            && Dag.cost_of a v = Dag.cost_of b v
-            && List.sort compare (Dag.preds a v) = List.sort compare (Dag.preds b v))
-  && List.init (Dag.n_futures a) Fun.id
-     |> List.for_all (fun f ->
-            Dag.last_of a f = Dag.last_of b f
-            && Dag.fparent a f = Dag.fparent b f
-            && Dag.first_of a f = Dag.first_of b f)
-  && List.sort compare (Dag.fake_joins a) = List.sort compare (Dag.fake_joins b)
-
-let prop_io_roundtrip =
-  QCheck2.Test.make ~name:"dag save/load round-trip" ~count:120 gen_dag (fun t ->
-      let path = Filename.temp_file "sfdag" ".txt" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let accesses =
-            [
-              { Dag_io.node = 0; loc = 5; is_write = true };
-              { Dag_io.node = Dag.n_nodes t - 1; loc = 7; is_write = false };
-            ]
-          in
-          Dag_io.save_file path ~accesses t;
-          let t', accesses' = Dag_io.load_file path in
-          dag_equal t t' && accesses = accesses'))
-
-let prop_io_reachability_preserved =
-  QCheck2.Test.make ~name:"loaded dag has identical reachability" ~count:40
-    gen_dag (fun t ->
-      let path = Filename.temp_file "sfdag" ".txt" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Dag_io.save_file path t;
-          let t', _ = Dag_io.load_file path in
-          let oa = Dag_algo.build_oracle t Dag_algo.Full in
-          let ob = Dag_algo.build_oracle t' Dag_algo.Full in
-          let n = Dag.n_nodes t in
-          let rng = Sfr_support.Prng.create (n * 31) in
-          List.for_all
-            (fun _ ->
-              let u = Sfr_support.Prng.int rng n and v = Sfr_support.Prng.int rng n in
-              Dag_algo.oracle_reaches oa u v = Dag_algo.oracle_reaches ob u v)
-            (List.init 200 Fun.id)))
-
-
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -352,72 +292,7 @@ let qtests =
       prop_lemma_3_4;
       prop_span_le_work;
       prop_counts_consistent;
-      prop_io_roundtrip;
-      prop_io_reachability_preserved;
     ]
-
-(* Feed [content] to the loader and return its parse error. *)
-let parse_error_of content =
-  let tmp = Filename.temp_file "sfdag" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      let oc = open_out tmp in
-      output_string oc content;
-      close_out oc;
-      match Dag_io.load_file_result tmp with
-      | Error e -> e
-      | Ok _ -> Alcotest.fail "expected a parse error")
-
-let test_io_rejects_garbage () =
-  let e = parse_error_of "not a dag\n" in
-  Alcotest.(check int) "error on line 1" 1 e.Dag_io.line
-
-let test_io_empty_file () =
-  let e = parse_error_of "" in
-  Alcotest.(check bool) "mentions empty" true
-    (String.length e.Dag_io.message > 0)
-
-let test_io_bad_int_token () =
-  let e = parse_error_of "sfdag 1\ncounts 3 zero\n" in
-  Alcotest.(check int) "line 2" 2 e.Dag_io.line;
-  Alcotest.(check int) "column of bad token" 10 e.Dag_io.column
-
-let test_io_node_out_of_range () =
-  let e = parse_error_of "sfdag 1\ncounts 1 0\nnode 7 0 root 0\n" in
-  Alcotest.(check int) "line 3" 3 e.Dag_io.line;
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-    at 0
-  in
-  Alcotest.(check bool) "mentions range" true
-    (contains e.Dag_io.message "out of range")
-
-let test_io_bad_access_mode () =
-  let e = parse_error_of "sfdag 1\ncounts 1 0\nnode 0 0 root 0\naccess 0 5 x\n" in
-  Alcotest.(check int) "line 4" 4 e.Dag_io.line
-
-let test_io_negative_counts () =
-  let e = parse_error_of "sfdag 1\ncounts -2 0\n" in
-  Alcotest.(check int) "line 2" 2 e.Dag_io.line
-
-let test_io_bad_kind () =
-  let e = parse_error_of "sfdag 1\ncounts 2 0\nnode 1 0 wobble 0\n" in
-  Alcotest.(check int) "line 3" 3 e.Dag_io.line;
-  Alcotest.(check int) "column of kind token" 10 e.Dag_io.column
-
-let test_io_raising_wrapper () =
-  let tmp = Filename.temp_file "sfdag" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      let oc = open_out tmp in
-      output_string oc "not a dag\n";
-      close_out oc;
-      match Dag_io.load_file tmp with
-      | exception Dag_io.Parse_error _ -> ()
-      | _ -> Alcotest.fail "expected Parse_error on bad magic")
 
 let () =
   Alcotest.run "dag"
@@ -433,14 +308,6 @@ let () =
           Alcotest.test_case "validation: missing put" `Quick
             test_validation_catches_missing_put;
           Alcotest.test_case "dot output" `Quick test_dot_output;
-          Alcotest.test_case "io rejects garbage" `Quick test_io_rejects_garbage;
-          Alcotest.test_case "io empty file" `Quick test_io_empty_file;
-          Alcotest.test_case "io bad int token" `Quick test_io_bad_int_token;
-          Alcotest.test_case "io node out of range" `Quick test_io_node_out_of_range;
-          Alcotest.test_case "io bad access mode" `Quick test_io_bad_access_mode;
-          Alcotest.test_case "io negative counts" `Quick test_io_negative_counts;
-          Alcotest.test_case "io bad kind" `Quick test_io_bad_kind;
-          Alcotest.test_case "io raising wrapper" `Quick test_io_raising_wrapper;
         ] );
       ("properties", qtests);
     ]

@@ -8,7 +8,9 @@
    out-of-range state IDs, overlong varints) is a typed [Torn] status
    with a byte offset, never an exception — including the torn logs
    produced by chaos faults at the Record/Log_flush sites;
-   (4) Trace.accesses is in its documented deterministic order. *)
+   (4) Trace.accesses is in its documented deterministic order;
+   (5) replaying a log into a Trace (as [racedetect analyze] does)
+   rebuilds the recorded dag and access log. *)
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
@@ -17,12 +19,15 @@ module Events = Sfr_runtime.Events
 module Serial_exec = Sfr_runtime.Serial_exec
 module Par_exec = Sfr_runtime.Par_exec
 module Trace = Sfr_runtime.Trace
+module Dag = Sfr_dag.Dag
+module Dag_algo = Sfr_dag.Dag_algo
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry
 module Synthetic = Sfr_workloads.Synthetic
 module Detector = Sfr_detect.Detector
 module Sf_order = Sfr_detect.Sf_order
 module Race = Sfr_detect.Race
+module Naive_detector = Sfr_detect.Naive_detector
 module Chaos = Sfr_chaos.Chaos
 
 let check = Alcotest.check
@@ -159,6 +164,99 @@ let test_parallel_log_replays () =
       (locs_of live)
       (locs_of (replay_races i.Synthetic.mem_base log))
   done
+
+(* -- rebuilding the recorded dag ------------------------------------------ *)
+
+let dag_equal a b =
+  let open Dag_algo in
+  let ca = counts a and cb = counts b in
+  ca = cb
+  && List.init (Dag.n_nodes a) Fun.id
+     |> List.for_all (fun v ->
+            Dag.kind_of a v = Dag.kind_of b v
+            && Dag.future_of a v = Dag.future_of b v
+            && Dag.cost_of a v = Dag.cost_of b v
+            && List.sort compare (Dag.preds a v) = List.sort compare (Dag.preds b v))
+  && List.init (Dag.n_futures a) Fun.id
+     |> List.for_all (fun f ->
+            Dag.last_of a f = Dag.last_of b f
+            && Dag.fparent a f = Dag.fparent b f
+            && Dag.first_of a f = Dag.first_of b f)
+  && List.sort compare (Dag.fake_joins a) = List.sort compare (Dag.fake_joins b)
+
+(* Run [exec] with a live Trace beside the Recorder, then replay the log
+   into the Trace view that [racedetect analyze] reads it through. *)
+let record_and_rebuild exec =
+  let live, tcb, troot = Trace.make ~log_accesses:true () in
+  let _, image =
+    record (fun rcb rroot ->
+        exec (Events.pair tcb rcb) (Events.Pair_state (troot, rroot)))
+  in
+  let rebuilt, det = Naive_detector.trace_detector () in
+  let v = replay (Stream_replay.Detector det) image in
+  (v.Stream_replay.status, live, rebuilt)
+
+let naive_racy trace =
+  (Naive_detector.analyze (Trace.dag trace) (Trace.accesses trace))
+    .Naive_detector.racy_locations
+
+(* Saving an execution is recording its .sflog; loading it is replaying
+   the log into a Trace. A serial log rebuilds the identical dag and
+   access log. A parallel log merges in an order of its own, so node IDs
+   differ, but the shape, work, span and naive verdict do not. *)
+let prop_log_rebuilds_trace =
+  QCheck2.Test.make ~name:"dag save/load round-trip" ~count:40
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let t = Synthetic.generate ~seed ~ops:120 ~depth:4 ~locs:6 () in
+      let rebuild exec =
+        let i = Synthetic.instantiate t in
+        record_and_rebuild (fun cb root -> exec cb root i.Synthetic.program)
+      in
+      let serial_ok =
+        match rebuild (fun cb root p -> serial p cb root) with
+        | Stream_replay.Complete, live, rebuilt ->
+            dag_equal (Trace.dag live) (Trace.dag rebuilt)
+            && Trace.accesses live = Trace.accesses rebuilt
+        | _ -> false
+      in
+      let parallel_ok =
+        match
+          rebuild (fun cb root p -> ignore (Par_exec.run ~workers:2 cb ~root p))
+        with
+        | Stream_replay.Complete, live, rebuilt ->
+            let a = Trace.dag live and b = Trace.dag rebuilt in
+            Dag_algo.counts a = Dag_algo.counts b
+            && Dag_algo.work a = Dag_algo.work b
+            && Dag_algo.span a Dag_algo.Full = Dag_algo.span b Dag_algo.Full
+            && naive_racy live = naive_racy rebuilt
+        | _ -> false
+      in
+      serial_ok && parallel_ok)
+
+let prop_rebuilt_reachability =
+  QCheck2.Test.make ~name:"loaded dag has identical reachability" ~count:20
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let t = Synthetic.generate ~seed ~ops:120 ~depth:4 ~locs:6 () in
+      let i = Synthetic.instantiate t in
+      match
+        record_and_rebuild (fun cb root -> serial i.Synthetic.program cb root)
+      with
+      | Stream_replay.Complete, live, rebuilt ->
+          let a = Trace.dag live and b = Trace.dag rebuilt in
+          let oa = Dag_algo.build_oracle a Dag_algo.Full in
+          let ob = Dag_algo.build_oracle b Dag_algo.Full in
+          let n = Dag.n_nodes a in
+          let rng = Sfr_support.Prng.create (seed + 1) in
+          Dag.n_nodes b = n
+          && List.for_all
+               (fun _ ->
+                 let u = Sfr_support.Prng.int rng n
+                 and v = Sfr_support.Prng.int rng n in
+                 Dag_algo.oracle_reaches oa u v = Dag_algo.oracle_reaches ob u v)
+               (List.init 200 Fun.id)
+      | _ -> false)
 
 (* -- sharded replay ----------------------------------------------------- *)
 
@@ -559,6 +657,9 @@ let () =
             test_join_waits_for_end;
           Alcotest.test_case "far-apart locations" `Quick test_far_locations;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_log_rebuilds_trace; prop_rebuilt_reachability ] );
       ( "shards",
         [
           Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;

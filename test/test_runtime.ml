@@ -237,6 +237,22 @@ let test_par_future_exception_no_deadlock () =
              Program.work 10;
              ignore (Program.get h))))
 
+(* Out-of-range worker counts are refused before any domain is spawned
+   (and before [main] runs); no test here spawns that many. *)
+let test_par_workers_bounds () =
+  let rejects workers =
+    let ran = ref false in
+    match
+      Par_exec.run ~workers Events.null ~root:Events.Unit_state (fun () ->
+          ran := true)
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> not !ran
+  in
+  check bool "0 workers rejected" true (rejects 0);
+  check bool "max_workers + 1 rejected" true
+    (rejects (Par_exec.max_workers + 1))
+
 (* ------------------------------------------------------------------ *)
 (* Deque model check                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -358,6 +374,7 @@ let () =
             test_par_nested_exception_no_deadlock;
           Alcotest.test_case "future exception no deadlock" `Quick
             test_par_future_exception_no_deadlock;
+          Alcotest.test_case "worker count bounds" `Quick test_par_workers_bounds;
         ] );
       ("deque", [ Alcotest.test_case "vs list model" `Quick test_deque_vs_model ]);
       ("properties", qtests);

@@ -152,6 +152,19 @@ let test_create_validates_session () =
     (rejects { d with credit_window = 0 });
   check Alcotest.bool "defaults accepted" false (rejects d)
 
+(* The detection pool is capped like the executor's workers; checked
+   through [validate] alone, so no pool domain is ever spawned here. *)
+let test_validate_bounds_pool () =
+  let rejects pool = Result.is_error (Server.validate (mk_cfg ~pool ())) in
+  let max = Sfr_runtime.Par_exec.max_workers in
+  check Alcotest.bool "negative pool rejected" true (rejects (-1));
+  check Alcotest.bool "max_workers + 1 rejected" true (rejects (max + 1));
+  check Alcotest.bool "max_workers accepted" false (rejects max);
+  check Alcotest.bool "error names the field"
+    true
+    (Server.validate (mk_cfg ~pool:(max + 1) ())
+    = Error (Printf.sprintf "pool_domains must be in 0..%d" max))
+
 let with_server ?now_ms cfg f =
   let server = Server.create ?now_ms cfg in
   Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
@@ -802,6 +815,8 @@ let () =
         [
           Alcotest.test_case "create validates session" `Quick
             test_create_validates_session;
+          Alcotest.test_case "validate bounds the pool" `Quick
+            test_validate_bounds_pool;
         ] );
       ( "verdicts",
         [
