@@ -607,7 +607,12 @@ let replay_cmd =
           end;
           Stream_replay.Sharded n
     in
-    let v, dt = Stats.time (fun () -> Stream_replay.run_file mode file) in
+    let v, dt =
+      try Stats.time (fun () -> Stream_replay.run_file mode file)
+      with Sys_error msg ->
+        Printf.eprintf "%s: %s\n" file msg;
+        exit 2
+    in
     if v.Stream_replay.status <> Stream_replay.Complete then begin
       Printf.eprintf "%s: %s\n" file
         (Stream_replay.status_to_string v.Stream_replay.status);

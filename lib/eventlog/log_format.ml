@@ -17,22 +17,6 @@ type event =
   | Write of { cur : int; loc : int }
   | Work of { cur : int; amount : int }
 
-let is_access = function Read _ | Write _ -> true | _ -> false
-
-let inputs = function
-  | Spawn { cur; _ } | Create { cur; _ } -> [ cur ]
-  | Sync { cur; spawned_lasts; created_firsts; _ } ->
-      cur :: (spawned_lasts @ created_firsts)
-  | Put { cur } -> [ cur ]
-  | Get { cur; put; _ } -> [ cur; put ]
-  | Returned { cont; child_last } -> [ cont; child_last ]
-  | Read { cur; _ } | Write { cur; _ } | Work { cur; _ } -> [ cur ]
-
-let defines = function
-  | Spawn { child; cont; _ } | Create { child; cont; _ } -> [ child; cont ]
-  | Sync { next; _ } | Get { next; _ } -> [ next ]
-  | Put _ | Returned _ | Read _ | Write _ | Work _ -> []
-
 type error =
   | Bad_magic of { got : string }
   | Bad_version of { got : int }
@@ -71,14 +55,12 @@ let error_to_string = function
 
 let write_varint buf n =
   if n < 0 then invalid_arg "Log_format.write_varint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!n land 0x7F)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
@@ -100,11 +82,6 @@ let read_varint bytes ~pos ~limit =
         if b land 0x80 = 0 then Ok (acc, p + 1) else go (p + 1) (shift + 7) acc
   in
   go pos 0 0
-
-let read_zigzag bytes ~pos ~limit =
-  match read_varint bytes ~pos ~limit with
-  | Ok (z, p) -> Ok (unzigzag z, p)
-  | Error _ as e -> e
 
 (* -- events ------------------------------------------------------------ *)
 
@@ -173,75 +150,6 @@ let write_event buf ~last_loc ev =
       v cur;
       v amount;
       last_loc
-
-let read_event bytes ~pos ~limit ~last_loc ~states =
-  let ( let* ) = Result.bind in
-  let sid p (v, p') =
-    (* every state reference is bounds-checked against the footer's
-       declared state count before the event is surfaced *)
-    if v < 0 || v >= states then
-      Error (State_out_of_range { offset = p; id = v; bound = states })
-    else Ok (v, p')
-  in
-  let* opcode, p =
-    if pos >= limit then
-      Error (Truncated { offset = pos; while_ = "reading opcode" })
-    else Ok (Char.code (Bytes.get bytes pos), pos + 1)
-  in
-  let rv p = read_varint bytes ~pos:p ~limit in
-  let rs p =
-    let* r = rv p in
-    sid p r
-  in
-  if opcode = op_spawn || opcode = op_create then
-    let* cur, p = rs p in
-    let* child, p = rs p in
-    let* cont, p = rs p in
-    let ev =
-      if opcode = op_spawn then Spawn { cur; child; cont }
-      else Create { cur; child; cont }
-    in
-    Ok (ev, p, last_loc)
-  else if opcode = op_sync then
-    let* cur, p = rs p in
-    let rec list n p acc =
-      if n = 0 then Ok (List.rev acc, p)
-      else
-        let* s, p = rs p in
-        list (n - 1) p (s :: acc)
-    in
-    let* nsp, p = rv p in
-    let* spawned_lasts, p = list nsp p [] in
-    let* ncr, p = rv p in
-    let* created_firsts, p = list ncr p [] in
-    let* next, p = rs p in
-    Ok (Sync { cur; spawned_lasts; created_firsts; next }, p, last_loc)
-  else if opcode = op_put then
-    let* cur, p = rs p in
-    Ok (Put { cur }, p, last_loc)
-  else if opcode = op_get then
-    let* cur, p = rs p in
-    let* put, p = rs p in
-    let* next, p = rs p in
-    Ok (Get { cur; put; next }, p, last_loc)
-  else if opcode = op_returned then
-    let* cont, p = rs p in
-    let* child_last, p = rs p in
-    Ok (Returned { cont; child_last }, p, last_loc)
-  else if opcode = op_read || opcode = op_write then
-    let* cur, p = rs p in
-    let* delta, p' = read_zigzag bytes ~pos:p ~limit in
-    let loc = last_loc + delta in
-    if loc < 0 then
-      Error (Corrupt { offset = p; what = "negative access location" })
-    else
-      let ev = if opcode = op_read then Read { cur; loc } else Write { cur; loc } in
-      Ok (ev, p', loc)
-  else if opcode = op_work then
-    let* cur, p = rs p in
-    let* amount, p = rv p in
-    Ok (Work { cur; amount }, p, last_loc)
-  else Error (Bad_opcode { offset = pos; opcode })
 
 (* -- crc32 ------------------------------------------------------------- *)
 

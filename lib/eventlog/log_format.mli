@@ -1,5 +1,6 @@
 (** The .sflog binary event-log format (version 1): wire-level codecs
-    shared by {!Recorder} (writer) and {!Stream_reader}.
+    shared by {!Recorder} (writer) and {!Stream_reader} (the one
+    decoder).
 
     A log is a header, a sequence of {e chunks}, and a footer:
 
@@ -48,14 +49,6 @@ type event =
   | Write of { cur : int; loc : int }
   | Work of { cur : int; amount : int }
 
-val is_access : event -> bool
-
-val inputs : event -> int list
-(** State IDs the event references (must be defined before it applies). *)
-
-val defines : event -> int list
-(** State IDs the event defines (fresh; at most 2). *)
-
 (** Typed decode errors. [offset] is the absolute byte offset in the
     file, so a corrupt log names the exact byte. *)
 type error =
@@ -82,23 +75,29 @@ val read_varint : Bytes.t -> pos:int -> limit:int -> (int * int, error) result
 (** [(value, next_pos)]; fails with [Bad_varint] (overflow / more than 10
     bytes) or [Truncated]. *)
 
-val read_zigzag : Bytes.t -> pos:int -> limit:int -> (int * int, error) result
+val unzigzag : int -> int
+(** Inverse of the zigzag mapping {!write_zigzag} applies. *)
 
 (* -- events ------------------------------------------------------------ *)
 
+(** Opcodes: the first byte of each event record, one per constructor
+    of {!event}, in declaration order from 1. *)
+
+val op_spawn : int
+val op_create : int
+val op_sync : int
+val op_put : int
+val op_get : int
+val op_returned : int
+val op_read : int
+val op_write : int
+val op_work : int
+
 val write_event : Buffer.t -> last_loc:int -> event -> int
 (** Append one event record; returns the new [last_loc] (the delta base
-    for the stream's next access). *)
-
-val read_event :
-  Bytes.t ->
-  pos:int ->
-  limit:int ->
-  last_loc:int ->
-  states:int ->
-  (event * int * int, error) result
-(** [(event, next_pos, last_loc')]. Validates opcodes and that every
-    state ID is in [0, states). *)
+    for the stream's next access). The {!Recorder} encodes the same
+    records without building an [event]; this is the reference encoder
+    the tests write logs with. *)
 
 (* -- crc32 ------------------------------------------------------------- *)
 

@@ -84,15 +84,57 @@ let flush_buf t w =
     Metrics.incr m_flushes
   end
 
-let append t ev =
+(* Each callback encodes its record straight into the worker's buffer,
+   as [Log_format.write_event] would, without building the event. State
+   IDs are resolved before anything is written, so a foreign state
+   leaves the buffer untouched. *)
+
+let begin_record t op =
   let w = wbuf t in
   w.events <- w.events + 1;
-  w.last_loc <- Log_format.write_event w.buf ~last_loc:w.last_loc ev;
-  if Buffer.length w.buf >= t.buf_cap then flush_buf t w
+  Buffer.add_char w.buf (Char.unsafe_chr op);
+  w
 
-let append_structural t ev =
-  Chaos.point Chaos.Record;
-  append t ev
+let end_record t w = if Buffer.length w.buf >= t.buf_cap then flush_buf t w
+
+let access t op cur loc =
+  let cur = id_of cur in
+  let w = begin_record t op in
+  Log_format.write_varint w.buf cur;
+  Log_format.write_zigzag w.buf (loc - w.last_loc);
+  w.last_loc <- loc;
+  end_record t w
+
+let record1 t op a =
+  let w = begin_record t op in
+  Log_format.write_varint w.buf a;
+  end_record t w
+
+(* [Work]'s second operand is its amount; every other one is a state ID. *)
+let record2 t op a b =
+  let w = begin_record t op in
+  Log_format.write_varint w.buf a;
+  Log_format.write_varint w.buf b;
+  end_record t w
+
+let record3 t op a b c =
+  let w = begin_record t op in
+  Log_format.write_varint w.buf a;
+  Log_format.write_varint w.buf b;
+  Log_format.write_varint w.buf c;
+  end_record t w
+
+let rec check_ids = function
+  | [] -> ()
+  | s :: rest ->
+      ignore (id_of s);
+      check_ids rest
+
+let rec write_ids buf = function
+  | [] -> ()
+  | s :: rest ->
+      Log_format.write_varint buf (id_of s);
+      write_ids buf rest
 
 let create ?(buf_size = 64 * 1024) ~path () =
   let oc = open_out_bin path in
@@ -119,47 +161,53 @@ let create ?(buf_size = 64 * 1024) ~path () =
       Events.on_spawn =
         (fun cur ->
           let child = Atomic.fetch_and_add t.next_state 2 in
-          let cont = child + 1 in
-          append_structural t (Log_format.Spawn { cur = id_of cur; child; cont });
-          (Rec child, Rec cont));
+          let cur = id_of cur in
+          Chaos.point Chaos.Record;
+          record3 t Log_format.op_spawn cur child (child + 1);
+          (Rec child, Rec (child + 1)));
       on_create =
         (fun cur ->
           let child = Atomic.fetch_and_add t.next_state 2 in
-          let cont = child + 1 in
-          append_structural t (Log_format.Create { cur = id_of cur; child; cont });
-          (Rec child, Rec cont));
+          let cur = id_of cur in
+          Chaos.point Chaos.Record;
+          record3 t Log_format.op_create cur child (child + 1);
+          (Rec child, Rec (child + 1)));
       on_sync =
         (fun ~cur ~spawned_lasts ~created_firsts ->
           let next = Atomic.fetch_and_add t.next_state 1 in
-          append_structural t
-            (Log_format.Sync
-               {
-                 cur = id_of cur;
-                 spawned_lasts = List.map id_of spawned_lasts;
-                 created_firsts = List.map id_of created_firsts;
-                 next;
-               });
+          let cur = id_of cur in
+          check_ids spawned_lasts;
+          check_ids created_firsts;
+          Chaos.point Chaos.Record;
+          let w = begin_record t Log_format.op_sync in
+          Log_format.write_varint w.buf cur;
+          Log_format.write_varint w.buf (List.length spawned_lasts);
+          write_ids w.buf spawned_lasts;
+          Log_format.write_varint w.buf (List.length created_firsts);
+          write_ids w.buf created_firsts;
+          Log_format.write_varint w.buf next;
+          end_record t w;
           Rec next);
       on_put =
-        (fun cur -> append_structural t (Log_format.Put { cur = id_of cur }));
+        (fun cur ->
+          let cur = id_of cur in
+          Chaos.point Chaos.Record;
+          record1 t Log_format.op_put cur);
       on_get =
         (fun ~cur ~put ->
           let next = Atomic.fetch_and_add t.next_state 1 in
-          append_structural t
-            (Log_format.Get { cur = id_of cur; put = id_of put; next });
+          let cur = id_of cur and put = id_of put in
+          Chaos.point Chaos.Record;
+          record3 t Log_format.op_get cur put next;
           Rec next);
       on_returned =
         (fun ~cont ~child_last ->
-          append_structural t
-            (Log_format.Returned
-               { cont = id_of cont; child_last = id_of child_last }));
-      on_read =
-        (fun cur loc -> append t (Log_format.Read { cur = id_of cur; loc }));
-      on_write =
-        (fun cur loc -> append t (Log_format.Write { cur = id_of cur; loc }));
-      on_work =
-        (fun cur amount ->
-          append t (Log_format.Work { cur = id_of cur; amount }));
+          let cont = id_of cont and child_last = id_of child_last in
+          Chaos.point Chaos.Record;
+          record2 t Log_format.op_returned cont child_last);
+      on_read = (fun cur loc -> access t Log_format.op_read cur loc);
+      on_write = (fun cur loc -> access t Log_format.op_write cur loc);
+      on_work = (fun cur amount -> record2 t Log_format.op_work (id_of cur) amount);
     }
   in
   (t, callbacks, Rec 0)

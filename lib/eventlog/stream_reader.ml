@@ -6,12 +6,27 @@ type summary = { s_events : int; s_states : int; s_workers : int }
    chunk with [remaining] payload bytes still expected (possibly not all
    fed yet). [At_chunk] means [lo] points at a chunk tag (or the footer
    tag). *)
+type chunk = { worker : int; mutable remaining : int }
+
 type phase =
   | Header
   | At_chunk
-  | In_chunk of { worker : int; mutable remaining : int }
+  | In_chunk of chunk
   | Done of summary
   | Failed of Log_format.error
+
+(* Decoded rows, one column per field; see the .mli for the layout.
+   Reset at the start of every [drain]. *)
+type batch = {
+  mutable rows : int;
+  mutable op : int array;
+  mutable worker : int array;
+  mutable arg0 : int array;
+  mutable arg1 : int array;
+  mutable arg2 : int array;
+  mutable side : int array;
+  mutable side_len : int;
+}
 
 type t = {
   max_workers : int;
@@ -25,9 +40,24 @@ type t = {
   mutable n_workers_seen : int;
   mutable max_sid : int;  (** largest state ID referenced or defined *)
   mutable events : int;
+  mutable p : int;  (** decode cursor in [data], inside a chunk run *)
+  batch : batch;
+  drained : (batch, Log_format.error) result;  (** [Ok batch], built once *)
 }
 
 let create ?(max_workers = 1024) () =
+  let batch =
+    {
+      rows = 0;
+      op = [||];
+      worker = [||];
+      arg0 = [||];
+      arg1 = [||];
+      arg2 = [||];
+      side = [||];
+      side_len = 0;
+    }
+  in
   {
     max_workers;
     data = Bytes.create 4096;
@@ -40,6 +70,9 @@ let create ?(max_workers = 1024) () =
     n_workers_seen = 0;
     max_sid = 0;
     events = 0;
+    p = 0;
+    batch;
+    drained = Ok batch;
   }
 
 let consumed t = t.abs_lo
@@ -101,9 +134,163 @@ let advance t n =
   t.lo <- t.lo + n;
   t.abs_lo <- t.abs_lo + n
 
-let track_sid t ev =
-  List.iter (fun id -> if id > t.max_sid then t.max_sid <- id) (inputs ev);
-  List.iter (fun id -> if id > t.max_sid then t.max_sid <- id) (defines ev)
+(* -- event records ---------------------------------------------------- *)
+
+(* Raised inside a chunk run: [Short] when the run's bytes end before
+   the event does (more bytes, or a torn chunk, decide which error it
+   is); [Bad] with a buffer-relative offset for everything else. Both
+   leave the event's row uncommitted. *)
+exception Short
+exception Bad of Log_format.error
+
+let grow a n = Array.append a (Array.make (max 64 n) 0)
+
+let grow_rows b =
+  let n = Array.length b.op in
+  b.op <- grow b.op n;
+  b.worker <- grow b.worker n;
+  b.arg0 <- grow b.arg0 n;
+  b.arg1 <- grow b.arg1 n;
+  b.arg2 <- grow b.arg2 n
+
+let push_side b v =
+  if b.side_len = Array.length b.side then b.side <- grow b.side b.side_len;
+  Array.unsafe_set b.side b.side_len v;
+  b.side_len <- b.side_len + 1
+
+(* The varint at [t.p], read up to [limit]; [t.p] moves past it. The
+   checks are [Log_format.read_varint]'s: a 10th group, or bits shifted
+   out of a 63-bit int, overflow. *)
+let varint t limit =
+  let start = t.p in
+  if start >= limit then raise_notrace Short;
+  let b0 = Char.code (Bytes.unsafe_get t.data start) in
+  if b0 < 0x80 then begin
+    t.p <- start + 1;
+    b0
+  end
+  else begin
+    let p = ref (start + 1) and shift = ref 7 and acc = ref (b0 land 0x7F) in
+    let more = ref true in
+    while !more do
+      if !p >= limit then raise_notrace Short;
+      let b = Char.code (Bytes.unsafe_get t.data !p) in
+      let payload = b land 0x7F in
+      if !shift > Sys.int_size - 1 || (payload lsl !shift) asr !shift <> payload
+      then raise_notrace (Bad (Bad_varint { offset = start }));
+      acc := !acc lor (payload lsl !shift);
+      incr p;
+      shift := !shift + 7;
+      more := b land 0x80 <> 0
+    done;
+    t.p <- !p;
+    !acc
+  end
+
+(* A state ID. Its footer bound is not known yet, so it is checked
+   against the loosest one, and the largest ID seen is kept for the
+   footer to validate. *)
+let sid t limit =
+  let start = t.p in
+  let v = varint t limit in
+  if v >= max_int then
+    raise_notrace (Bad (State_out_of_range { offset = start; id = v; bound = max_int }));
+  if v > t.max_sid then t.max_sid <- v;
+  v
+
+(* Decode the event record at [t.p] (below [limit]) of worker [w]'s
+   stream into row [b.rows], and commit the row. *)
+let decode_event t limit w =
+  let b = t.batch in
+  if b.rows = Array.length b.op then grow_rows b;
+  let row = b.rows in
+  let start = t.p in
+  let op = Char.code (Bytes.unsafe_get t.data start) in
+  t.p <- start + 1;
+  if op = op_read || op = op_write then begin
+    Array.unsafe_set b.arg0 row (sid t limit);
+    let dpos = t.p in
+    let loc = t.last_locs.(w) + unzigzag (varint t limit) in
+    if loc < 0 then
+      raise_notrace (Bad (Corrupt { offset = dpos; what = "negative access location" }));
+    t.last_locs.(w) <- loc;
+    Array.unsafe_set b.arg1 row loc
+  end
+  else if op = op_spawn || op = op_create || op = op_get then begin
+    Array.unsafe_set b.arg0 row (sid t limit);
+    Array.unsafe_set b.arg1 row (sid t limit);
+    Array.unsafe_set b.arg2 row (sid t limit)
+  end
+  else if op = op_sync then begin
+    let mark = b.side_len in
+    match
+      Array.unsafe_set b.arg0 row (sid t limit);
+      Array.unsafe_set b.arg1 row mark;
+      for _ = 1 to 2 do
+        let n = varint t limit in
+        push_side b n;
+        for _ = 1 to n do
+          push_side b (sid t limit)
+        done
+      done;
+      Array.unsafe_set b.arg2 row (sid t limit)
+    with
+    | () -> ()
+    | exception e ->
+        b.side_len <- mark;
+        raise_notrace e
+  end
+  else if op = op_put then Array.unsafe_set b.arg0 row (sid t limit)
+  else if op = op_returned then begin
+    Array.unsafe_set b.arg0 row (sid t limit);
+    Array.unsafe_set b.arg1 row (sid t limit)
+  end
+  else if op = op_work then begin
+    Array.unsafe_set b.arg0 row (sid t limit);
+    Array.unsafe_set b.arg1 row (varint t limit)
+  end
+  else raise_notrace (Bad (Bad_opcode { offset = start; opcode = op }));
+  Array.unsafe_set b.op row op;
+  Array.unsafe_set b.worker row w;
+  b.rows <- row + 1;
+  t.events <- t.events + 1
+
+(* Decode every whole event among the fed bytes of chunk [ic], then
+   fold the decoded bytes into the CRC at once. [`Wait]: the fed bytes
+   end mid-event or mid-chunk; [`Chunk_end]: the chunk is fully
+   decoded. *)
+let decode_run t ic =
+  let available = t.hi - t.lo in
+  let limit = t.lo + min ic.remaining available in
+  t.p <- t.lo;
+  let decoded = ref t.lo in
+  let outcome =
+    try
+      while t.p < limit do
+        decode_event t limit ic.worker;
+        decoded := t.p
+      done;
+      Ok ()
+    with
+    | Short -> Error None
+    | Bad e -> Error (Some e)
+  in
+  let n = !decoded - t.lo in
+  t.crc <- crc32_update t.crc t.data ~pos:t.lo ~len:n;
+  ic.remaining <- ic.remaining - n;
+  advance t n;
+  match outcome with
+  | Ok () -> Ok (if ic.remaining = 0 then `Chunk_end else `Wait)
+  | Error None when available < ic.remaining + n -> Ok `Wait
+  | Error None ->
+      (* the event ran past the chunk's declared payload end *)
+      Error
+        (Corrupt
+           {
+             offset = limit - t.lo + t.abs_lo;
+             what = "event record spans a chunk boundary";
+           })
+  | Error (Some e) -> Error (remap t e)
 
 let ensure_worker t w =
   if w >= Array.length t.last_locs then begin
@@ -114,7 +301,6 @@ let ensure_worker t w =
   if w >= t.n_workers_seen then t.n_workers_seen <- w + 1
 
 let drain t =
-  let acc = ref [] in
   let rec loop () =
     match t.phase with
     | Failed e -> Error e
@@ -247,41 +433,36 @@ let drain t =
           t.phase <- At_chunk;
           loop ()
         end
+        else if t.hi = t.lo then Ok ()
         else begin
-          let available = t.hi - t.lo in
-          if available = 0 then Ok ()
-          else
-            let limit = t.lo + min ic.remaining available in
-            (* the stream's own state bound arrives with the footer;
-               decode with the loosest bound and validate then *)
-            match
-              read_event t.data ~pos:t.lo ~limit
-                ~last_loc:t.last_locs.(ic.worker) ~states:max_int
-            with
-            | Ok (ev, p, last_loc) ->
-                t.crc <- crc32_update t.crc t.data ~pos:t.lo ~len:(p - t.lo);
-                ic.remaining <- ic.remaining - (p - t.lo);
-                advance t (p - t.lo);
-                t.last_locs.(ic.worker) <- last_loc;
-                track_sid t ev;
-                t.events <- t.events + 1;
-                acc := (ic.worker, ev) :: !acc;
-                if ic.remaining = 0 then t.phase <- At_chunk;
-                loop ()
-            | Error (Truncated _) when available < ic.remaining ->
-                Ok () (* event split across feeds: wait *)
-            | Error (Truncated { offset; _ }) ->
-                (* the event ran past the chunk's declared payload end *)
-                fail t
-                  (Corrupt
-                     {
-                       offset = offset - t.lo + t.abs_lo;
-                       what = "event record spans a chunk boundary";
-                     })
-            | Error e -> fail t (remap t e)
+          match decode_run t ic with
+          | Ok `Chunk_end ->
+              t.phase <- At_chunk;
+              loop ()
+          | Ok `Wait -> Ok ()
+          | Error e -> fail t e
         end
   in
-  match loop () with Ok () -> Ok (List.rev !acc) | Error e -> Error e
+  t.batch.rows <- 0;
+  t.batch.side_len <- 0;
+  match loop () with Ok () -> t.drained | Error e -> Error e
+
+let event b i =
+  if i < 0 || i >= b.rows then invalid_arg "Stream_reader.event: no such row";
+  let op = b.op.(i) and a0 = b.arg0.(i) and a1 = b.arg1.(i) and a2 = b.arg2.(i) in
+  if op = op_spawn then Spawn { cur = a0; child = a1; cont = a2 }
+  else if op = op_create then Create { cur = a0; child = a1; cont = a2 }
+  else if op = op_sync then
+    let ids o = List.init b.side.(o) (fun k -> b.side.(o + 1 + k)) in
+    let spawned_lasts = ids a1 in
+    let created_firsts = ids (a1 + 1 + List.length spawned_lasts) in
+    Sync { cur = a0; spawned_lasts; created_firsts; next = a2 }
+  else if op = op_put then Put { cur = a0 }
+  else if op = op_get then Get { cur = a0; put = a1; next = a2 }
+  else if op = op_returned then Returned { cont = a0; child_last = a1 }
+  else if op = op_read then Read { cur = a0; loc = a1 }
+  else if op = op_write then Write { cur = a0; loc = a1 }
+  else Work { cur = a0; amount = a1 }
 
 let finish t =
   match drain t with

@@ -54,12 +54,131 @@ type verdict = {
   queries : int;
 }
 
-(* One worker stream's undecoded-but-arrived events: a FIFO whose head
-   is the only candidate for application (stream order is program order
-   on that worker). *)
-type wstream = { q : Log_format.event Queue.t; mutable applied : int }
+(* -- the state table --------------------------------------------------- *)
 
-type access = { state : Events.state; loc : int; is_write : bool }
+(* State IDs come from the log, so the table's memory must follow the
+   states defined, not the largest ID named: a 15-byte log can name
+   2^60. [Sfr_support.Loc_table] pages IDs 64 to a page under a bounded
+   directory with an overflow map, so a recorded log (IDs dense from 0)
+   sits in the directory and a far ID costs one page. A cell is created
+   the first time its ID is defined or waited on. *)
+
+type Events.state += Undefined
+
+(* [state] once defined; [ended] once the strand's [Put] / [Returned]
+   has applied. *)
+type cell = { mutable state : Events.state; mutable ended : bool }
+
+let new_states () =
+  Sfr_support.Loc_table.create
+    ~dummy:{ state = Undefined; ended = false }
+    (fun () -> { state = Undefined; ended = false })
+
+let cell = Sfr_support.Loc_table.get
+let defined s id = (cell s id).state != Undefined
+let ended s id = (cell s id).ended
+let set_ended s id = (cell s id).ended <- true
+
+(* Only called on defined IDs (readiness-checked before apply). *)
+let lookup s id = (cell s id).state
+
+exception Redefined_exn of int
+
+let define s id v =
+  let c = cell s id in
+  if c.state != Undefined then raise (Redefined_exn id);
+  c.state <- v
+
+(* -- worker streams ---------------------------------------------------- *)
+
+(* One worker stream's decoded-but-unapplied events, in stream order:
+   rows [head, tail) of the same columns {!Stream_reader.batch} has,
+   with each sync's lists copied into [side] (its [arg1] is the offset
+   there). The head is the only candidate for application (stream order
+   is program order on that worker). The columns are reused: an emptied
+   stream restarts at row 0, and a full one moves its live rows to the
+   front before it grows. *)
+type wstream = {
+  mutable op : int array;
+  mutable arg0 : int array;
+  mutable arg1 : int array;
+  mutable arg2 : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable side : int array;
+  mutable side_tail : int;
+  mutable applied : int;
+}
+
+let new_stream () =
+  {
+    op = [||];
+    arg0 = [||];
+    arg1 = [||];
+    arg2 = [||];
+    head = 0;
+    tail = 0;
+    side = [||];
+    side_tail = 0;
+    applied = 0;
+  }
+
+(* Entries of the sync whose lists start at [side.(o)]. *)
+let sync_len side o =
+  let n = side.(o) in
+  n + side.(o + 1 + n) + 2
+
+(* Move the live rows and side entries to the front of columns with
+   room for [rows] more rows and [side] more entries. *)
+let make_room ws ~rows ~side =
+  let live = ws.tail - ws.head in
+  let side_lo =
+    let rec first i =
+      if i = ws.tail then ws.side_tail
+      else if ws.op.(i) = Log_format.op_sync then ws.arg1.(i)
+      else first (i + 1)
+    in
+    first ws.head
+  in
+  let side_live = ws.side_tail - side_lo in
+  let resize a live need =
+    let cap = Array.length a in
+    if live + need <= cap then a
+    else Array.make (max 64 (max (live + need) (2 * cap))) 0
+  in
+  let move a a' = Array.blit a ws.head a' 0 live; a' in
+  let op' = resize ws.op live rows in
+  ws.op <- move ws.op op';
+  ws.arg0 <- move ws.arg0 (resize ws.arg0 live rows);
+  ws.arg1 <- move ws.arg1 (resize ws.arg1 live rows);
+  ws.arg2 <- move ws.arg2 (resize ws.arg2 live rows);
+  let side' = resize ws.side side_live side in
+  Array.blit ws.side side_lo side' 0 side_live;
+  ws.side <- side';
+  for i = 0 to live - 1 do
+    if ws.op.(i) = Log_format.op_sync then ws.arg1.(i) <- ws.arg1.(i) - side_lo
+  done;
+  ws.head <- 0;
+  ws.tail <- live;
+  ws.side_tail <- side_live
+
+(* Append row [r] of the decoder's batch. *)
+let push ws (b : Stream_reader.batch) r =
+  let op = b.op.(r) in
+  let n_side = if op = Log_format.op_sync then sync_len b.side b.arg1.(r) else 0 in
+  if ws.tail = Array.length ws.op || ws.side_tail + n_side > Array.length ws.side then
+    make_room ws ~rows:1 ~side:n_side;
+  let i = ws.tail in
+  ws.op.(i) <- op;
+  ws.arg0.(i) <- b.arg0.(r);
+  ws.arg2.(i) <- b.arg2.(r);
+  if op = Log_format.op_sync then begin
+    Array.blit b.side b.arg1.(r) ws.side ws.side_tail n_side;
+    ws.arg1.(i) <- ws.side_tail;
+    ws.side_tail <- ws.side_tail + n_side
+  end
+  else ws.arg1.(i) <- b.arg1.(r);
+  ws.tail <- i + 1
 
 (* Pending accesses that trigger a parallel shard check. *)
 let access_batch = 8192
@@ -68,7 +187,12 @@ type shard_state = {
   n : int;
   histories : Events.state Access_history.t array;
   races : Race.t array;
-  pending : access list ref array;  (** newest-first; reversed at check *)
+  (* per shard, the pending accesses in merge order: [len.(s)] rows of
+     accessor, location and kind, reused across flushes *)
+  p_state : Events.state array array;
+  p_loc : int array array;
+  p_write : Bytes.t array;
+  len : int array;
   mutable n_pending : int;
   sizes : int array;  (** accesses routed to each shard so far *)
   precedes : Events.state -> Events.state -> bool;
@@ -77,11 +201,11 @@ type shard_state = {
 type t = {
   reader : Stream_reader.t;
   det : Detector.t;
+  cb : Events.callbacks;
   shards : shard_state option;  (** [None] = inline checking *)
   mutable streams : wstream array;
   mutable first_worker : int;  (** worker of the first event; -1 before *)
-  mutable states : Events.state option array;
-  mutable ended : bool array;  (** strand's [Put] / [Returned] applied *)
+  states : cell Sfr_support.Loc_table.t;
   mutable applied : int;
   mutable accesses : int;
   mutable failed : status option;  (** first latched failure, sticky *)
@@ -109,20 +233,26 @@ let create mode =
                     Access_history.create ~sync:`Unsynchronized
                       Access_history.Keep_all);
               races = Array.init n (fun _ -> Race.create ());
-              pending = Array.init n (fun _ -> ref []);
+              p_state = Array.make n [||];
+              p_loc = Array.make n [||];
+              p_write = Array.make n Bytes.empty;
+              len = Array.make n 0;
               n_pending = 0;
               sizes = Array.make n 0;
               precedes;
             } )
   in
+  let states = new_states () in
+  (* the root state exists before any event *)
+  define states 0 det.Detector.root;
   {
     reader = Stream_reader.create ();
     det;
+    cb = det.Detector.callbacks;
     shards;
     streams = [||];
     first_worker = -1;
-    states = Array.make 64 None;
-    ended = Array.make 64 false;
+    states;
     applied = 0;
     accesses = 0;
     failed = None;
@@ -138,79 +268,49 @@ let ensure_stream t w =
     let a =
       Array.init
         (max (w + 1) (2 * Array.length t.streams))
-        (fun i ->
-          if i < Array.length t.streams then t.streams.(i)
-          else { q = Queue.create (); applied = 0 })
+        (fun i -> if i < Array.length t.streams then t.streams.(i) else new_stream ())
     in
     t.streams <- a
   end
 
-let ensure_state t id =
-  let n = Array.length t.states in
-  if id >= n then begin
-    let n' = max (id + 1) (2 * n) in
-    let a = Array.make n' None and e = Array.make n' false in
-    Array.blit t.states 0 a 0 n;
-    Array.blit t.ended 0 e 0 n;
-    t.states <- a;
-    t.ended <- e
+(* The first of the [n] IDs at [side.(o) ..] that fails [ok], or -1. *)
+let rec first_failing ok side o n =
+  if n = 0 then -1
+  else if ok side.(o) then first_failing ok side (o + 1) (n - 1)
+  else side.(o)
+
+(* The state the event at row [i] of [ws] waits on, or -1 if it is
+   ready: the first of its inputs (in record order) not yet defined,
+   else the first joined strand not yet ended. A defined state only
+   says its strand has started. A join also needs the joined strand to
+   have ended — a sync waits for each spawned child's [Returned], a get
+   for the future's [Put] — or it could apply ahead of that strand's
+   last accesses on another worker stream. *)
+let waits_on t ws i =
+  let s = t.states in
+  let op = ws.op.(i) and a0 = ws.arg0.(i) in
+  if not (defined s a0) then a0
+  else if op = Log_format.op_get then
+    let put = ws.arg1.(i) in
+    if defined s put && ended s put then -1 else put
+  else if op = Log_format.op_returned then
+    let child_last = ws.arg1.(i) in
+    if defined s child_last then -1 else child_last
+  else if op = Log_format.op_sync then begin
+    let side = ws.side and o = ws.arg1.(i) in
+    let nsp = side.(o) in
+    let spawned = o + 1 and created = o + 2 + nsp in
+    let m = first_failing (defined s) side spawned nsp in
+    if m >= 0 then m
+    else
+      let m = first_failing (defined s) side created side.(o + 1 + nsp) in
+      if m >= 0 then m else first_failing (ended s) side spawned nsp
   end
+  else -1
 
-let lookup t id =
-  match t.states.(id) with
-  | Some s -> s
-  | None -> assert false (* readiness-checked before apply *)
-
-exception Redefined_exn of int
-
-let define t id s =
-  ensure_state t id;
-  match t.states.(id) with
-  | None -> t.states.(id) <- Some s
-  | Some _ -> raise (Redefined_exn id)
-
-let defined t id = id < Array.length t.states && t.states.(id) <> None
-let ended t id = id < Array.length t.ended && t.ended.(id)
-
-(* A defined state only says its strand has started. A join also needs
-   the joined strand to have ended — a sync waits for each spawned
-   child's [Returned], a get for the future's [Put] — or it could apply
-   ahead of that strand's last accesses on another worker stream. *)
-let joined (ev : Log_format.event) =
-  match ev with
-  | Sync { spawned_lasts; _ } -> spawned_lasts
-  | Get { put; _ } -> [ put ]
-  | _ -> []
-
-let ready t ev =
-  List.for_all (defined t) (Log_format.inputs ev)
-  && List.for_all (ended t) (joined ev)
-
-(* Dispatch one event to the client callbacks, threading state IDs
-   through [lookup]/[define]. *)
-let apply_callbacks (cb : Events.callbacks) ~lookup ~define ev =
-  match (ev : Log_format.event) with
-  | Spawn { cur; child; cont } ->
-      let c, t = cb.on_spawn (lookup cur) in
-      define child c;
-      define cont t
-  | Create { cur; child; cont } ->
-      let c, t = cb.on_create (lookup cur) in
-      define child c;
-      define cont t
-  | Sync { cur; spawned_lasts; created_firsts; next } ->
-      define next
-        (cb.on_sync ~cur:(lookup cur)
-           ~spawned_lasts:(List.map lookup spawned_lasts)
-           ~created_firsts:(List.map lookup created_firsts))
-  | Put { cur } -> cb.on_put (lookup cur)
-  | Get { cur; put; next } ->
-      define next (cb.on_get ~cur:(lookup cur) ~put:(lookup put))
-  | Returned { cont; child_last } ->
-      cb.on_returned ~cont:(lookup cont) ~child_last:(lookup child_last)
-  | Read { cur; loc } -> cb.on_read (lookup cur) loc
-  | Write { cur; loc } -> cb.on_write (lookup cur) loc
-  | Work { cur; amount } -> cb.on_work (lookup cur) amount
+(* The state list of the [n] IDs at [side.(o) ..]. *)
+let rec states_of s side o n acc =
+  if n = 0 then acc else states_of s side o (n - 1) (lookup s side.(o + n - 1) :: acc)
 
 (* -- sharded access checking ------------------------------------------- *)
 
@@ -219,76 +319,138 @@ let apply_callbacks (cb : Events.callbacks) ~lookup ~define ev =
 let shard_of ~loc ~shards =
   if shards = 1 then 0 else (loc * 0x9E3779B1 land max_int) mod shards
 
-let check_shard_batch sh s (accesses : access array) =
+let check_shard_batch sh s =
   let history = sh.histories.(s) in
   let races = sh.races.(s) in
   let precedes = sh.precedes in
   let future_of = Sf_order.strand_future in
-  Array.iter
-    (fun { state; loc; is_write } ->
-      if is_write then
-        Access_history.on_write history ~loc ~accessor:state
-          ~check:(fun ~prev ~prev_is_writer ->
-            if not (precedes prev state) then
-              Race.report races ~loc
-                ~kind:
-                  (if prev_is_writer then Race.Write_write else Race.Read_write)
-                ~prev_future:(future_of prev) ~cur_future:(future_of state))
-      else
-        Access_history.on_read history ~loc ~accessor:state
-          ~check_writer:(fun w ->
-            if not (precedes w state) then
-              Race.report races ~loc ~kind:Race.Write_read
-                ~prev_future:(future_of w) ~cur_future:(future_of state)))
-    accesses
+  let states = sh.p_state.(s) and locs = sh.p_loc.(s) and writes = sh.p_write.(s) in
+  for i = 0 to sh.len.(s) - 1 do
+    let state = states.(i) and loc = locs.(i) in
+    if Bytes.get writes i <> '\000' then
+      Access_history.on_write history ~loc ~accessor:state
+        ~check:(fun ~prev ~prev_is_writer ->
+          if not (precedes prev state) then
+            Race.report races ~loc
+              ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
+              ~prev_future:(future_of prev) ~cur_future:(future_of state))
+    else
+      Access_history.on_read history ~loc ~accessor:state
+        ~check_writer:(fun w ->
+          if not (precedes w state) then
+            Race.report races ~loc ~kind:Race.Write_read
+              ~prev_future:(future_of w) ~cur_future:(future_of state))
+  done
 
-(* Drain every pending per-shard batch, shard 0 on the calling domain
+(* Check every pending per-shard batch, shard 0 on the calling domain
    and the rest on freshly spawned ones. Runs while the structural merge
    is paused, so the frozen-prefix reachability structures are
    read-only. *)
 let flush_shards sh =
   if sh.n_pending > 0 then begin
     Metrics.incr m_shard_checks;
-    let batches =
-      Array.map
-        (fun p ->
-          let b = Array.of_list (List.rev !p) in
-          p := [];
-          b)
-        sh.pending
-    in
-    sh.n_pending <- 0;
     let work = ref [] in
     for s = sh.n - 1 downto 1 do
-      if Array.length batches.(s) > 0 then
-        work := (s, Domain.spawn (fun () -> check_shard_batch sh s batches.(s))) :: !work
+      if sh.len.(s) > 0 then
+        work := Domain.spawn (fun () -> check_shard_batch sh s) :: !work
     done;
-    if Array.length batches.(0) > 0 then check_shard_batch sh 0 batches.(0);
-    List.iter (fun (_, d) -> Domain.join d) !work
+    if sh.len.(0) > 0 then check_shard_batch sh 0;
+    List.iter Domain.join !work;
+    Array.fill sh.len 0 sh.n 0;
+    sh.n_pending <- 0
   end
+
+(* Queue an access on its location's shard. *)
+let add_access sh state loc is_write =
+  let s = shard_of ~loc ~shards:sh.n in
+  let i = sh.len.(s) in
+  if i = Array.length sh.p_loc.(s) then begin
+    let cap = min access_batch (max 64 (2 * i)) in
+    let st = Array.make cap Undefined and lc = Array.make cap 0 and wr = Bytes.make cap '\000' in
+    Array.blit sh.p_state.(s) 0 st 0 i;
+    Array.blit sh.p_loc.(s) 0 lc 0 i;
+    Bytes.blit sh.p_write.(s) 0 wr 0 i;
+    sh.p_state.(s) <- st;
+    sh.p_loc.(s) <- lc;
+    sh.p_write.(s) <- wr
+  end;
+  sh.p_state.(s).(i) <- state;
+  sh.p_loc.(s).(i) <- loc;
+  Bytes.set sh.p_write.(s) i (if is_write then '\001' else '\000');
+  sh.len.(s) <- i + 1;
+  sh.sizes.(s) <- sh.sizes.(s) + 1;
+  sh.n_pending <- sh.n_pending + 1
 
 (* -- the merge loop ----------------------------------------------------- *)
 
 let latch t status = if t.failed = None then t.failed <- Some status
 
-let apply_event t ev =
-  match (t.shards, (ev : Log_format.event)) with
-  | Some sh, (Read { cur; loc } | Write { cur; loc }) ->
-      let is_write = match ev with Write _ -> true | _ -> false in
-      let s = shard_of ~loc ~shards:sh.n in
-      sh.pending.(s) := { state = lookup t cur; loc; is_write } :: !(sh.pending.(s));
-      sh.sizes.(s) <- sh.sizes.(s) + 1;
-      sh.n_pending <- sh.n_pending + 1;
-      t.accesses <- t.accesses + 1;
-      if sh.n_pending >= access_batch then flush_shards sh
-  | _ -> (
-      apply_callbacks t.det.Detector.callbacks ~lookup:(lookup t)
-        ~define:(fun id s -> define t id s)
-        ev;
-      match ev with
-      | Read _ | Write _ -> t.accesses <- t.accesses + 1
-      | Put { cur } | Returned { child_last = cur; _ } -> t.ended.(cur) <- true
-      | _ -> ())
+(* Apply the (ready) event at row [i] of [ws] to the client callbacks,
+   threading state IDs through the state table. *)
+let apply_event t ws i =
+  let s = t.states and cb = t.cb in
+  let op = ws.op.(i) and a0 = ws.arg0.(i) in
+  if op = Log_format.op_read || op = Log_format.op_write then begin
+    let state = lookup s a0 and loc = ws.arg1.(i) in
+    match t.shards with
+    | None ->
+        if op = Log_format.op_read then cb.on_read state loc else cb.on_write state loc;
+        t.accesses <- t.accesses + 1
+    | Some sh ->
+        add_access sh state loc (op = Log_format.op_write);
+        t.accesses <- t.accesses + 1;
+        if sh.n_pending >= access_batch then flush_shards sh
+  end
+  else if op = Log_format.op_work then cb.on_work (lookup s a0) ws.arg1.(i)
+  else if op = Log_format.op_spawn || op = Log_format.op_create then begin
+    let child, cont =
+      (if op = Log_format.op_spawn then cb.on_spawn else cb.on_create) (lookup s a0)
+    in
+    define s ws.arg1.(i) child;
+    define s ws.arg2.(i) cont
+  end
+  else if op = Log_format.op_sync then begin
+    let side = ws.side and o = ws.arg1.(i) in
+    let nsp = side.(o) in
+    let spawned_lasts = states_of s side (o + 1) nsp [] in
+    let created_firsts = states_of s side (o + 2 + nsp) side.(o + 1 + nsp) [] in
+    define s ws.arg2.(i) (cb.on_sync ~cur:(lookup s a0) ~spawned_lasts ~created_firsts)
+  end
+  else if op = Log_format.op_put then begin
+    cb.on_put (lookup s a0);
+    set_ended s a0
+  end
+  else if op = Log_format.op_get then
+    define s ws.arg2.(i) (cb.on_get ~cur:(lookup s a0) ~put:(lookup s ws.arg1.(i)))
+  else begin
+    let child_last = ws.arg1.(i) in
+    cb.on_returned ~cont:(lookup s a0) ~child_last:(lookup s child_last);
+    set_ended s child_last
+  end
+
+(* Apply worker [w]'s ready head events; true if any applied. *)
+let sweep t w ws =
+  let first = ws.head in
+  (try
+     while ws.head < ws.tail && waits_on t ws ws.head < 0 do
+       apply_event t ws ws.head;
+       ws.head <- ws.head + 1;
+       ws.applied <- ws.applied + 1
+     done
+   with
+  | Redefined_exn id ->
+      latch t (Inconsistent (Redefined { worker = w; index = ws.applied; id }))
+  | Detect_error.Error e -> latch t (Detector_failed (Detect_error.to_string e))
+  | exn -> latch t (Detector_failed (Printexc.to_string exn)));
+  let n = ws.head - first in
+  t.applied <- t.applied + n;
+  Metrics.add m_events n;
+  if ws.head = ws.tail then begin
+    ws.head <- 0;
+    ws.tail <- 0;
+    ws.side_tail <- 0
+  end;
+  n > 0
 
 (* Sweep the streams, applying every ready head, until a full sweep makes
    no progress (then: wait for more input; whether that's a deadlock is
@@ -298,62 +460,42 @@ let merge t =
   while !progress && t.failed = None do
     progress := false;
     Array.iteri
-      (fun w st ->
-        let continue_ = ref true in
-        while !continue_ && t.failed = None && not (Queue.is_empty st.q) do
-          let ev = Queue.peek st.q in
-          if ready t ev then begin
-            (match apply_event t ev with
-            | () ->
-                ignore (Queue.pop st.q);
-                st.applied <- st.applied + 1;
-                t.applied <- t.applied + 1;
-                Metrics.incr m_events;
-                progress := true
-            | exception Redefined_exn id ->
-                latch t
-                  (Inconsistent (Redefined { worker = w; index = st.applied; id }))
-            | exception Detect_error.Error e ->
-                latch t (Detector_failed (Detect_error.to_string e))
-            | exception exn ->
-                latch t (Detector_failed (Printexc.to_string exn)))
-          end
-          else continue_ := false
-        done)
+      (fun w ws -> if t.failed = None && ws.head < ws.tail && sweep t w ws then progress := true)
       t.streams
   done
 
-(* Queue a decoded event on its worker stream. A serial-only detector
-   refuses a second worker stream before applying any of its events. *)
-let enqueue t (w, ev) =
-  if t.failed = None then begin
-    if w <> t.first_worker then
-      if t.first_worker < 0 then t.first_worker <- w
-      else if not t.det.Detector.supports_parallel then
-        latch t
-          (Detector_failed
-             (Printf.sprintf
-                "%s requires a depth-first event order, but the log has more \
-                 than one worker stream (record with the serial executor)"
-                t.det.Detector.name));
+(* Queue the decoded rows on their worker streams. A serial-only
+   detector refuses a second worker stream before applying any of its
+   events. *)
+let enqueue t (b : Stream_reader.batch) =
+  for r = 0 to b.rows - 1 do
     if t.failed = None then begin
-      ensure_stream t w;
-      Queue.push ev t.streams.(w).q
+      let w = b.worker.(r) in
+      if w <> t.first_worker then
+        if t.first_worker < 0 then t.first_worker <- w
+        else if not t.det.Detector.supports_parallel then
+          latch t
+            (Detector_failed
+               (Printf.sprintf
+                  "%s requires a depth-first event order, but the log has \
+                   more than one worker stream (record with the serial \
+                   executor)"
+                  t.det.Detector.name));
+      if t.failed = None then begin
+        ensure_stream t w;
+        push t.streams.(w) b r
+      end
     end
-  end
+  done
 
 let step t =
   if t.failed = None && t.final = None then begin
     Metrics.incr m_steps;
     let pt = Sfr_obs.Prof.start () in
     (match Stream_reader.drain t.reader with
-    | Ok evs -> List.iter (enqueue t) evs
+    | Ok batch -> enqueue t batch
     | Error e -> latch t (Torn e));
-    if t.failed = None then begin
-      (* root state exists before any event *)
-      if t.states.(0) = None then t.states.(0) <- Some t.det.Detector.root;
-      merge t
-    end;
+    if t.failed = None then merge t;
     Sfr_obs.Prof.stop t_step pt
   end
 
@@ -361,20 +503,14 @@ let step t =
 let find_blocked t =
   let blocked = ref None in
   Array.iteri
-    (fun w st ->
-      if !blocked = None && not (Queue.is_empty st.q) then
-        let ev = Queue.peek st.q in
-        let missing =
-          match List.find_opt (fun id -> not (defined t id)) (Log_format.inputs ev) with
-          | Some _ as m -> m
-          | None -> List.find_opt (fun id -> not (ended t id)) (joined ev)
-        in
-        Option.iter (fun m -> blocked := Some (w, st.applied, m)) missing)
+    (fun w ws ->
+      if !blocked = None && ws.head < ws.tail then
+        let missing = waits_on t ws ws.head in
+        if missing >= 0 then blocked := Some (w, ws.applied, missing))
     t.streams;
   !blocked
 
-let undrained t =
-  Array.exists (fun st -> not (Queue.is_empty st.q)) t.streams
+let undrained t = Array.exists (fun ws -> ws.head < ws.tail) t.streams
 
 let make_verdict t status =
   let reports, shard_sizes =

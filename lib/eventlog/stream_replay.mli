@@ -5,11 +5,25 @@
     without [--shards], [racedetect analyze] (into a dag-recording
     {!Sfr_detect.Naive_detector.trace_detector}), and the [serve]
     daemon's sessions — runs here.
-    The engine keeps a {!Stream_reader}, a growable state table, and a
-    detector, and applies events {e resumably}: feed bytes, {!step}
-    applies every event that became ready, and the race report is
-    inspectable at any prefix. An offline replay is the same loop fed
-    from a file ({!run_file}).
+    The engine keeps a {!Stream_reader}, a state table, and a detector,
+    and applies events {e resumably}: feed bytes, {!step} applies every
+    event that became ready, and the race report is inspectable at any
+    prefix. An offline replay is the same loop fed from a file
+    ({!run_file}).
+
+    {b Memory and allocation.} Each {!step} copies the decoder's rows
+    ({!Stream_reader.batch}) into one FIFO per worker stream with the
+    same columns (opcode and three operands, a sync's ID lists in a
+    side buffer), reused across feeds; events are applied from there by
+    a match on the opcode, so the engine allocates nothing per event
+    beyond what the detector's callbacks take (the two state lists of
+    [on_sync]). A FIFO holds the events waiting on another stream, so
+    its size follows the bytes fed. The state table is a
+    {!Sfr_support.Loc_table}: 64 states a page, a directory over at most
+    [max 1024 (8 × pages in use)] page numbers, and an overflow map
+    beyond it, so its memory follows the states defined or waited on,
+    never the largest ID a log names — a few bytes can name state
+    2{^60}.
 
     Worker streams are merged by a greedy topological rule: an event is
     {e ready} once every state ID it references has been defined (by an
@@ -35,7 +49,8 @@
     - [Sharded n]: a fresh SF-Order instance replays the structural
       events (spawn / create / sync / put / get / returned / work),
       building the reachability structures; access events accumulate in
-      per-shard (location-hash, {!shard_of}) batches that are checked on
+      per-shard (location-hash, {!shard_of}) batches — reused arrays of
+      accessor, location and kind — that are checked on
       [n] domains whenever a batch fills. [Precedes (u, v)] is frozen
       for every pair of strands already inserted — order maintenance
       keeps relative order forever and strand future-sets are immutable

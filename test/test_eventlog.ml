@@ -10,10 +10,14 @@
    produced by chaos faults at the Record/Log_flush sites;
    (4) Trace.accesses is in its documented deterministic order;
    (5) replaying a log into a Trace (as [racedetect analyze] does)
-   rebuilds the recorded dag and access log. *)
+   rebuilds the recorded dag and access log; (6) a mutated log, fed in
+   any slicing, ends in a typed status with heap growth bounded by its
+   bytes, whatever IDs it names; (7) the decoder's rows materialize
+   back to the events [Log_format.write_event] wrote. *)
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
+module Stream_reader = Sfr_eventlog.Stream_reader
 module Stream_replay = Sfr_eventlog.Stream_replay
 module Events = Sfr_runtime.Events
 module Serial_exec = Sfr_runtime.Serial_exec
@@ -61,6 +65,21 @@ let replay mode image =
       Stream_replay.run_file mode path)
 
 let serial p cb root = ignore (Serial_exec.run cb ~root p)
+
+(* Feed [image] to a fresh inline SF-Order replay in the given slice
+   sizes (cycled), stepping after each, then close. *)
+let replay_sliced image slices =
+  let t = Stream_replay.create (Stream_replay.Detector (Sf_order.make ())) in
+  let len = Bytes.length image in
+  let pos = ref 0 and k = ref 0 in
+  while !pos < len do
+    let n = min slices.(!k mod Array.length slices) (len - !pos) in
+    Stream_replay.feed t image ~pos:!pos ~len:n;
+    Stream_replay.step t;
+    pos := !pos + n;
+    incr k
+  done;
+  Stream_replay.close t
 
 (* Races of a live serial SF-Order run, normalized against [base] so
    verdicts compare across program instantiations. *)
@@ -139,13 +158,11 @@ let test_round_trip_synthetic () =
 (* A parallel recording has no canonical event order, but the race
    verdict is schedule-independent: racy locations must match the serial
    live run. *)
+let locs_of races =
+  List.sort_uniq compare
+    (List.filter_map (fun s -> Scanf.sscanf_opt s "loc+%d " (fun l -> l)) races)
+
 let test_parallel_log_replays () =
-  let locs_of races =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun s -> Scanf.sscanf_opt s "loc+%d " (fun l -> l))
-         races)
-  in
   for seed = 1 to 5 do
     let t = Synthetic.generate ~seed ~ops:120 ~depth:4 ~locs:6 () in
     let live =
@@ -164,6 +181,30 @@ let test_parallel_log_replays () =
       (locs_of live)
       (locs_of (replay_races i.Synthetic.mem_base log))
   done
+
+(* The same, recorded in many small chunks per worker and fed in small
+   slices, so the merge holds blocked events of several streams across
+   feeds. *)
+let prop_parallel_log_slices =
+  QCheck2.Test.make ~name:"parallel log, small chunks, any slicing" ~count:30
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 40 400) (int_range 1 64))
+    (fun (seed, buf_size, slice) ->
+      let t = Synthetic.generate ~seed ~ops:200 ~depth:4 ~locs:6 () in
+      let live =
+        let i = Synthetic.instantiate t in
+        live_races i.Synthetic.mem_base (serial i.Synthetic.program)
+      in
+      let i = Synthetic.instantiate t in
+      let log =
+        with_temp_log (fun path ->
+            let rec_, cb, root = Recorder.create ~buf_size ~path () in
+            ignore (Par_exec.run ~workers:3 cb ~root i.Synthetic.program);
+            ignore (Recorder.close rec_);
+            read_file path)
+      in
+      let v = replay_sliced log [| slice |] in
+      v.Stream_replay.status = Stream_replay.Complete
+      && locs_of live = locs_of (norm i.Synthetic.mem_base v.Stream_replay.reports))
 
 (* -- rebuilding the recorded dag ------------------------------------------ *)
 
@@ -501,6 +542,51 @@ let test_join_waits_for_end () =
         Returned { cont = 2; child_last = 1 };
       ]
 
+(* Worker 1 applies a sync, then blocks on a get whose put sits in a
+   later chunk of worker 0, while a hundred more syncs queue behind the
+   get. Fed in small slices, its stream columns fill with the applied
+   sync's lists still at their front, so the waiting rows and lists
+   move before the columns grow; the syncs must still find their
+   lists once the put arrives. *)
+let test_blocked_stream_grows () =
+  let payload evs =
+    let p = Buffer.create 256 in
+    ignore (List.fold_left (fun last ev -> Log_format.write_event p ~last_loc:last ev) 0 evs);
+    Buffer.to_bytes p
+  in
+  let loc = 7 in
+  let fork_join s =
+    [
+      Log_format.Spawn { cur = s; child = s + 1; cont = s + 2 };
+      Returned { cont = s + 2; child_last = s + 1 };
+      Sync { cur = s + 2; spawned_lasts = [ s + 1 ]; created_firsts = []; next = s + 3 };
+    ]
+  in
+  let rounds = 100 in
+  let w0 = [ Log_format.Create { cur = 0; child = 1; cont = 2 } ]
+  and w1 =
+    fork_join 2 @ [ Log_format.Get { cur = 5; put = 1; next = 6 } ]
+    @ List.concat (List.init rounds (fun k -> fork_join (6 + (3 * k))))
+  and w0' = [ Log_format.Write { cur = 1; loc }; Put { cur = 1 } ]
+  and w1' = [ Log_format.Write { cur = 6 + (3 * rounds); loc } ] in
+  let image =
+    craft_chunks
+      ~chunks:[ (0, payload w0); (1, payload w1); (0, payload w0'); (1, payload w1') ]
+      ~events:(List.length (w0 @ w1 @ w0' @ w1'))
+      ~states:(7 + (3 * rounds))
+      ~workers:2
+  in
+  for slice = 1 to 32 do
+    let v = replay_sliced image [| slice |] in
+    check Alcotest.string
+      (Printf.sprintf "%d-byte slices: status" slice)
+      "complete"
+      (Stream_replay.status_to_string v.Stream_replay.status);
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "%d-byte slices: no race" slice)
+      [] v.Stream_replay.racy_locations
+  done
+
 (* A log whose access deltas jump by about 2^40, up and down: location
    IDs come from an untrusted file, so the access history must index
    them without a span-sized array. One write-write and one read-write
@@ -545,6 +631,272 @@ let test_far_locations () =
   expect "sharded" (Stream_replay.Sharded 2);
   check Alcotest.bool "sharded replay heap bounded" true
     ((Gc.quick_stat ()).Gc.top_heap_words - top < 1_000_000)
+
+(* -- decoder robustness ---------------------------------------------------- *)
+
+(* The 15-byte log whose only event is [Spawn {cur = 0; child = id;
+   cont = 1}], with no footer. *)
+let huge_id_log id =
+  let p = Buffer.create 16 in
+  ignore
+    (Log_format.write_event p ~last_loc:0 (Log_format.Spawn { cur = 0; child = id; cont = 1 }));
+  let b = Buffer.create 32 in
+  Buffer.add_string b Log_format.magic;
+  Buffer.add_char b (Char.chr Log_format.version);
+  Buffer.add_char b '\001';
+  Log_format.write_varint b 0;
+  Log_format.write_varint b (Buffer.length p);
+  Buffer.add_buffer b p;
+  Buffer.to_bytes b
+
+(* Heap words a call grows the process by: the larger of the heap's and
+   its high-water mark's growth, so an allocation freed before the call
+   returns still counts. *)
+let heap_growth f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  (r, max (s1.Gc.heap_words - s0.Gc.heap_words) (s1.Gc.top_heap_words - s0.Gc.top_heap_words))
+
+(* What a replay may grow the heap by for an input of [bytes] bytes. *)
+let heap_bound bytes = (64 * bytes) + (1 lsl 20)
+
+let test_huge_state_id () =
+  let image = huge_id_log (1 lsl 24) in
+  check Alcotest.int "log size" 15 (Bytes.length image);
+  let v, grown = heap_growth (fun () -> replay_sliced image [| 4096 |]) in
+  (match v.Stream_replay.status with
+  | Stream_replay.Torn (Log_format.Truncated _) -> ()
+  | s -> Alcotest.failf "huge state id: %s" (Stream_replay.status_to_string s));
+  check Alcotest.bool (Printf.sprintf "heap grew %d words" grown) true (grown < 1 lsl 16)
+
+(* Real logs the mutations start from: serial and 2-worker synthetic
+   recordings and the serial mm log. *)
+let robustness_corpus =
+  lazy
+    (let synth exec seed =
+       let t = Synthetic.generate ~seed ~ops:120 ~depth:4 ~locs:6 () in
+       let i = Synthetic.instantiate t in
+       snd (record (fun cb root -> exec cb root i.Synthetic.program))
+     in
+     let mm =
+       let w = Option.get (Registry.find "mm") in
+       let i = w.Workload.instantiate ~inject_race:false Workload.Tiny in
+       snd (record (fun cb root -> serial i.Workload.program cb root))
+     in
+     [|
+       synth (fun cb root p -> serial p cb root) 3;
+       synth (fun cb root p -> ignore (Par_exec.run ~workers:2 cb ~root p)) 4;
+       mm;
+     |])
+
+(* Positions are drawn independently of the image and reduced modulo
+   its length when applied. *)
+type mutation =
+  | Flip of { pos : int; bit : int }
+  | Overlong of { pos : int }  (** 11 continuation bytes inserted *)
+  | Huge of { pos : int; bits : int }  (** a byte replaced by a huge varint *)
+  | Huge_chunk of { bits : int; count : bool }
+      (** a chunk defining state 2^bits (or opening a Sync list that
+          long) inserted after the header *)
+  | Truncate of { len : int }
+  | Splice of { other : int; at : int; from : int }
+      (** a prefix of the image, then a suffix of another corpus log *)
+
+let huge bits = if bits >= 62 then max_int else (1 lsl bits) + (bits land 7)
+
+let insert img at s =
+  let at = at mod (Bytes.length img + 1) in
+  Bytes.concat Bytes.empty
+    [ Bytes.sub img 0 at; Bytes.of_string s; Bytes.sub img at (Bytes.length img - at) ]
+
+let varint_string n =
+  let b = Buffer.create 10 in
+  Log_format.write_varint b n;
+  Buffer.contents b
+
+let mutate corpus img m =
+  let len = Bytes.length img in
+  match m with
+  | Flip _ | Huge _ when len = 0 -> img
+  | Flip { pos; bit } ->
+      let b = Bytes.copy img and i = pos mod len in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      b
+  | Overlong { pos } -> insert img pos (String.make 11 '\xFF')
+  | Huge { pos; bits } ->
+      let i = pos mod len in
+      Bytes.concat Bytes.empty
+        [
+          Bytes.sub img 0 i;
+          Bytes.of_string (varint_string (huge bits));
+          Bytes.sub img (i + 1) (len - i - 1);
+        ]
+  | Huge_chunk { bits; count } ->
+      let p = Buffer.create 16 in
+      if count then begin
+        (* Sync {cur = 0} with a list count of 2^bits and one entry *)
+        Buffer.add_char p '\003';
+        Log_format.write_varint p 0;
+        Log_format.write_varint p (huge bits);
+        Log_format.write_varint p 1
+      end
+      else
+        ignore
+          (Log_format.write_event p ~last_loc:0
+             (Log_format.Spawn { cur = 0; child = huge bits; cont = 1 }));
+      insert img (min 5 len)
+        ("\001" ^ varint_string 0 ^ varint_string (Buffer.length p) ^ Buffer.contents p)
+  | Truncate { len = n } -> Bytes.sub img 0 (n mod (len + 1))
+  | Splice { other; at; from } ->
+      let o = corpus.(other mod Array.length corpus) in
+      let at = at mod (len + 1) and from = from mod (Bytes.length o + 1) in
+      Bytes.cat (Bytes.sub img 0 at) (Bytes.sub o from (Bytes.length o - from))
+
+let gen_mutation =
+  let open QCheck2.Gen in
+  let pos = int_bound 1_000_000 in
+  oneof
+    [
+      map2 (fun pos bit -> Flip { pos; bit }) pos (int_bound 7);
+      map (fun pos -> Overlong { pos }) pos;
+      map2 (fun pos bits -> Huge { pos; bits }) pos (int_range 20 62);
+      map2 (fun bits count -> Huge_chunk { bits; count }) (int_range 20 62) bool;
+      map (fun len -> Truncate { len }) pos;
+      map3 (fun other at from -> Splice { other; at; from }) small_nat pos pos;
+    ]
+
+(* Slice sizes from 1 byte to 8 KiB, small ones as likely as large. *)
+let gen_slices =
+  QCheck2.Gen.(
+    array_size (int_range 1 16) (oneof [ int_range 1 16; int_range 1 8192 ]))
+
+let show_mutation = function
+  | Flip { pos; bit } -> Printf.sprintf "flip %d.%d" pos bit
+  | Overlong { pos } -> Printf.sprintf "overlong @%d" pos
+  | Huge { pos; bits } -> Printf.sprintf "huge 2^%d @%d" bits pos
+  | Huge_chunk { bits; count } ->
+      Printf.sprintf "huge %s 2^%d chunk" (if count then "count" else "id") bits
+  | Truncate { len } -> Printf.sprintf "truncate %d" len
+  | Splice { other; at; from } -> Printf.sprintf "splice %d @%d from %d" other at from
+
+let prop_decoder_bounded =
+  QCheck2.Test.make ~name:"mutated logs: typed status, heap bounded by input"
+    ~count:300
+    ~print:(fun (base, ms, slices) ->
+      Printf.sprintf "log %d, [%s], slices [%s]" base
+        (String.concat "; " (List.map show_mutation ms))
+        (String.concat " " (Array.to_list (Array.map string_of_int slices))))
+    QCheck2.Gen.(triple small_nat (list_size (int_range 1 3) gen_mutation) gen_slices)
+    (fun (base, ms, slices) ->
+      let corpus = Lazy.force robustness_corpus in
+      let img =
+        List.fold_left (mutate corpus) corpus.(base mod Array.length corpus) ms
+      in
+      let v, grown = heap_growth (fun () -> replay_sliced img slices) in
+      (* every status is typed; reaching here means nothing raised *)
+      ignore (Stream_replay.status_to_string v.Stream_replay.status);
+      grown <= heap_bound (Bytes.length img)
+      || QCheck2.Test.fail_reportf "%d-byte input grew the heap by %d words"
+           (Bytes.length img) grown)
+
+(* -- decoded columns ------------------------------------------------------ *)
+
+(* Random [(worker, event)] sequences, written with [write_event] into
+   random chunkings and fed to [Stream_reader] in random slices, must
+   come back row for row. This is the decoder's reference: the writer
+   is the one codec that builds [Log_format.event] values. *)
+let gen_stream =
+  let open QCheck2.Gen in
+  (* state IDs up to the largest a footer can bound; locations whose
+     deltas stay inside the zigzag range *)
+  let id = oneof [ int_bound 64; int_bound (max_int - 1) ] in
+  let loc = oneof [ int_bound 256; int_bound ((1 lsl 61) - 1) ] in
+  let ids = oneof [ return []; list_size (int_bound 4) id; list_size (int_range 100 300) id ] in
+  let event =
+    oneof
+      [
+        map3 (fun cur child cont -> Log_format.Spawn { cur; child; cont }) id id id;
+        map3 (fun cur child cont -> Log_format.Create { cur; child; cont }) id id id;
+        map4
+          (fun cur spawned_lasts created_firsts next ->
+            Log_format.Sync { cur; spawned_lasts; created_firsts; next })
+          id ids ids id;
+        map (fun cur -> Log_format.Put { cur }) id;
+        map3 (fun cur put next -> Log_format.Get { cur; put; next }) id id id;
+        map2 (fun cont child_last -> Log_format.Returned { cont; child_last }) id id;
+        map2 (fun cur loc -> Log_format.Read { cur; loc }) id loc;
+        map2 (fun cur loc -> Log_format.Write { cur; loc }) id loc;
+        map2 (fun cur amount -> Log_format.Work { cur; amount }) id nat;
+      ]
+  in
+  let worker = oneof [ int_bound 3; int_bound 1023 ] in
+  triple
+    (list_size (int_range 1 200) (pair worker event))
+    (int_range 1 64) (* events per chunk, at most *)
+    gen_slices
+
+(* The image of [evs] cut into chunks of at most [per_chunk] events of
+   one worker each, every worker's location deltas threaded across its
+   chunks. *)
+let image_of_stream evs ~per_chunk =
+  let last_locs = Hashtbl.create 8 in
+  let chunk w evs =
+    let p = Buffer.create 64 in
+    let last = Option.value ~default:0 (Hashtbl.find_opt last_locs w) in
+    let last =
+      List.fold_left (fun last ev -> Log_format.write_event p ~last_loc:last ev) last evs
+    in
+    Hashtbl.replace last_locs w last;
+    (w, Buffer.to_bytes p)
+  in
+  let rec cut acc cur = function
+    | [] -> List.rev (match cur with None -> acc | Some (w, evs) -> chunk w (List.rev evs) :: acc)
+    | (w, ev) :: rest -> (
+        match cur with
+        | Some (w', evs) when w' = w && List.length evs < per_chunk ->
+            cut acc (Some (w, ev :: evs)) rest
+        | Some (w', evs) -> cut (chunk w' (List.rev evs) :: acc) (Some (w, [ ev ])) rest
+        | None -> cut acc (Some (w, [ ev ])) rest)
+  in
+  let ids = function
+    | Log_format.Spawn { cur; child; cont } | Create { cur; child; cont } -> [ cur; child; cont ]
+    | Sync { cur; spawned_lasts; created_firsts; next } ->
+        (cur :: next :: spawned_lasts) @ created_firsts
+    | Put { cur } | Read { cur; _ } | Write { cur; _ } | Work { cur; _ } -> [ cur ]
+    | Get { cur; put; next } -> [ cur; put; next ]
+    | Returned { cont; child_last } -> [ cont; child_last ]
+  in
+  let max_of f = List.fold_left (fun m x -> max m (f x)) 0 evs in
+  craft_chunks ~chunks:(cut [] None evs) ~events:(List.length evs)
+    ~states:(max_of (fun (_, ev) -> List.fold_left max 0 (ids ev)) + 1)
+    ~workers:(max_of fst + 1)
+
+let prop_columns_round_trip =
+  QCheck2.Test.make ~name:"decoded rows materialize to the written events" ~count:200
+    gen_stream (fun (evs, per_chunk, slices) ->
+      let image = image_of_stream evs ~per_chunk in
+      let r = Stream_reader.create () in
+      let rows = ref [] in
+      let take = function
+        | Ok (b : Stream_reader.batch) ->
+            for i = 0 to b.Stream_reader.rows - 1 do
+              rows := (b.Stream_reader.worker.(i), Stream_reader.event b i) :: !rows
+            done
+        | Error e -> QCheck2.Test.fail_reportf "drain: %s" (Log_format.error_to_string e)
+      in
+      let len = Bytes.length image in
+      let pos = ref 0 and k = ref 0 in
+      while !pos < len do
+        let n = min slices.(!k mod Array.length slices) (len - !pos) in
+        Stream_reader.feed r image ~pos:!pos ~len:n;
+        take (Stream_reader.drain r);
+        pos := !pos + n;
+        incr k
+      done;
+      match Stream_reader.finish r with
+      | Ok s -> s.Stream_reader.s_events = List.length evs && List.rev !rows = evs
+      | Error e -> QCheck2.Test.fail_reportf "finish: %s" (Log_format.error_to_string e))
 
 (* Chaos faults at the Record / Log_flush sites abandon recordings
    mid-write; whatever ends up on disk must never crash the reader. *)
@@ -655,11 +1007,12 @@ let () =
           Alcotest.test_case "parallel recording" `Quick test_parallel_log_replays;
           Alcotest.test_case "joins wait for the joined strand" `Quick
             test_join_waits_for_end;
+          Alcotest.test_case "blocked stream grows" `Quick test_blocked_stream_grows;
           Alcotest.test_case "far-apart locations" `Quick test_far_locations;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_log_rebuilds_trace; prop_rebuilt_reachability ] );
+          [ prop_log_rebuilds_trace; prop_rebuilt_reachability; prop_parallel_log_slices ] );
       ( "shards",
         [
           Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
@@ -673,6 +1026,9 @@ let () =
             test_every_prefix_rejected;
           Alcotest.test_case "crafted corruption" `Quick test_crafted_corruption;
           Alcotest.test_case "chaos-torn logs" `Quick test_chaos_torn_logs;
+          Alcotest.test_case "huge state id" `Quick test_huge_state_id;
+          QCheck_alcotest.to_alcotest prop_decoder_bounded;
+          QCheck_alcotest.to_alcotest prop_columns_round_trip;
         ] );
       ( "recorder",
         [

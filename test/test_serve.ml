@@ -458,6 +458,40 @@ let test_isolation () =
       check slist "neighbour verdict intact" offline
         (norm base oa.Session.reports))
 
+(* A DATA payload naming state 2^24 — the 15-byte log whose only event
+   is [Spawn {cur = 0; child = 2^24; cont = 1}] — must cost the server
+   memory in proportion to its bytes, not to the ID: a torn verdict
+   within a small constant heap. *)
+let test_huge_state_id () =
+  let image =
+    let p = Buffer.create 16 in
+    ignore
+      (Log_format.write_event p ~last_loc:0
+         (Log_format.Spawn { cur = 0; child = 1 lsl 24; cont = 1 }));
+    let b = Buffer.create 32 in
+    Buffer.add_string b Log_format.magic;
+    Buffer.add_char b (Char.chr Log_format.version);
+    Buffer.add_char b '\001';
+    Log_format.write_varint b 0;
+    Log_format.write_varint b (Buffer.length p);
+    Buffer.add_buffer b p;
+    Buffer.to_bytes b
+  in
+  check Alcotest.int "log size" 15 (Bytes.length image);
+  with_server (mk_cfg ()) (fun server ->
+      let s0 = Gc.quick_stat () in
+      let c = Loopback.connect server in
+      Loopback.hello ~chaos:false c;
+      ignore (Loopback.pump ~chaos:false c image ~pos:0 ~len:(Bytes.length image));
+      Loopback.close ~chaos:false c;
+      let s1 = Gc.quick_stat () in
+      let o = outcome_exn server (sid_of c) in
+      check tcode "torn" Frame.Err_torn o.Session.code;
+      let grown =
+        max (s1.Gc.heap_words - s0.Gc.heap_words) (s1.Gc.top_heap_words - s0.Gc.top_heap_words)
+      in
+      check Alcotest.bool (Printf.sprintf "heap grew %d words" grown) true (grown < 1 lsl 18))
+
 (* -- credit window ------------------------------------------------------ *)
 
 let test_backpressure_bounds () =
@@ -828,6 +862,7 @@ let () =
         [
           Alcotest.test_case "every prefix" `Quick test_every_prefix;
           Alcotest.test_case "session isolation" `Quick test_isolation;
+          Alcotest.test_case "huge state id" `Quick test_huge_state_id;
           Alcotest.test_case "backpressure bounds" `Quick test_backpressure_bounds;
         ] );
       ( "overload",
