@@ -153,21 +153,61 @@ let write_event buf ~last_loc ev =
 
 (* -- crc32 ------------------------------------------------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slicing-by-8: table [k] (entries [256k .. 256k+255]) advances a CRC
+   over a byte followed by [k] zero bytes, so eight table lookups fold
+   eight input bytes at once. Table 0 is the classic bytewise table. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let[@inline] le32 b i =
+  let x = Int32.to_int (get32u b i) land 0xFFFFFFFF in
+  if Sys.big_endian then
+    ((x land 0xFF) lsl 24)
+    lor ((x land 0xFF00) lsl 8)
+    lor ((x lsr 8) land 0xFF00)
+    lor (x lsr 24)
+  else x
 
 let crc32_init = 0
 
 let crc32_update crc bytes ~pos ~len =
-  let table = Lazy.force crc_table in
+  if pos < 0 || len < 0 || pos > Bytes.length bytes - len then
+    invalid_arg "Log_format.crc32_update";
+  let t = crc_tables in
+  let[@inline] tab k n = Array.unsafe_get t ((k * 256) + (n land 0xFF)) in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get bytes i)) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos in
+  let last8 = pos + len - 8 in
+  while !i <= last8 do
+    let one = le32 bytes !i lxor !c and two = le32 bytes (!i + 4) in
+    c :=
+      tab 7 one
+      lxor tab 6 (one lsr 8)
+      lxor tab 5 (one lsr 16)
+      lxor tab 4 (one lsr 24)
+      lxor tab 3 two
+      lxor tab 2 (two lsr 8)
+      lxor tab 1 (two lsr 16)
+      lxor tab 0 (two lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := tab 0 (!c lxor Char.code (Bytes.unsafe_get bytes j)) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

@@ -104,4 +104,6 @@ val write_event : Buffer.t -> last_loc:int -> event -> int
 val crc32_init : int
 val crc32_update : int -> Bytes.t -> pos:int -> len:int -> int
 (** Standard CRC-32 (polynomial 0xEDB88320), kept in an int in
-    [0, 0xFFFFFFFF]. *)
+    [0, 0xFFFFFFFF]; slicing-by-8, eight bytes per step.
+    @raise Invalid_argument if [pos]/[len] is not a valid slice of the
+    bytes. *)

@@ -325,21 +325,28 @@ let check_shard_batch sh s =
   let precedes = sh.precedes in
   let future_of = Sf_order.strand_future in
   let states = sh.p_state.(s) and locs = sh.p_loc.(s) and writes = sh.p_write.(s) in
+  (* the checks are built once per batch and read the access being
+     checked from [cur], so the loop allocates nothing per access *)
+  let cur = ref 0 in
+  let check ~prev ~prev_is_writer =
+    let state = states.(!cur) in
+    if not (precedes prev state) then
+      Race.report races ~loc:locs.(!cur)
+        ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
+        ~prev_future:(future_of prev) ~cur_future:(future_of state)
+  in
+  let check_writer w =
+    let state = states.(!cur) in
+    if not (precedes w state) then
+      Race.report races ~loc:locs.(!cur) ~kind:Race.Write_read
+        ~prev_future:(future_of w) ~cur_future:(future_of state)
+  in
   for i = 0 to sh.len.(s) - 1 do
+    cur := i;
     let state = states.(i) and loc = locs.(i) in
     if Bytes.get writes i <> '\000' then
-      Access_history.on_write history ~loc ~accessor:state
-        ~check:(fun ~prev ~prev_is_writer ->
-          if not (precedes prev state) then
-            Race.report races ~loc
-              ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-              ~prev_future:(future_of prev) ~cur_future:(future_of state))
-    else
-      Access_history.on_read history ~loc ~accessor:state
-        ~check_writer:(fun w ->
-          if not (precedes w state) then
-            Race.report races ~loc ~kind:Race.Write_read
-              ~prev_future:(future_of w) ~cur_future:(future_of state))
+      Access_history.on_write history ~loc ~accessor:state ~check
+    else Access_history.on_read history ~loc ~accessor:state ~check_writer
   done
 
 (* Check every pending per-shard batch, shard 0 on the calling domain

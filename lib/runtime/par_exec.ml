@@ -324,21 +324,6 @@ let rec exec_frame sched (body : frame -> unit) =
                   if Program.Handle.add_waiter h (fun () -> push_task sched resume)
                   then () (* parked until the future is fulfilled *)
                   else resume ())
-          | Program.Read loc ->
-              Some
-                (fun (k : (b, _) Effect.Deep.continuation) ->
-                  sched.cb.Events.on_read (get_cur ()) loc;
-                  Effect.Deep.continue k ())
-          | Program.Write loc ->
-              Some
-                (fun (k : (b, _) Effect.Deep.continuation) ->
-                  sched.cb.Events.on_write (get_cur ()) loc;
-                  Effect.Deep.continue k ())
-          | Program.Work n ->
-              Some
-                (fun (k : (b, _) Effect.Deep.continuation) ->
-                  sched.cb.Events.on_work (get_cur ()) n;
-                  Effect.Deep.continue k ())
           | _ -> None);
     }
 
@@ -371,7 +356,9 @@ let find_task sched me =
     match steal () with Some t -> Some t | None -> own ()
   else match own () with Some t -> Some t | None -> steal ()
 
+(* accesses read this domain's strand ref; a resumed task is [set_cur] *)
 let worker_loop sched me =
+  Program.with_sink sched.cb (Domain.DLS.get cur_key) @@ fun () ->
   Domain.DLS.set worker_key me;
   Metrics.domain_enter ();
   let st = sched.wstats.(me) in

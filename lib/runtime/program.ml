@@ -1,4 +1,5 @@
 exception Unstructured_use of string
+exception No_executor
 
 type 'a handle = {
   mutable result : 'a option;
@@ -14,15 +15,31 @@ type _ Effect.t +=
   | Sync : unit Effect.t
   | Create : (unit -> 'a) -> 'a handle Effect.t
   | Get : 'a handle -> 'a Effect.t
-  | Read : int -> unit Effect.t
-  | Write : int -> unit Effect.t
-  | Work : int -> unit Effect.t
 
 let spawn f = Effect.perform (Spawn f)
 let sync () = Effect.perform Sync
 let create f = Effect.perform (Create f)
 let get h = Effect.perform (Get h)
-let work n = Effect.perform (Work n)
+
+type sink = { read : int -> unit; write : int -> unit; work : int -> unit }
+
+let no_sink =
+  let refuse _ = raise No_executor in
+  { read = refuse; write = refuse; work = refuse }
+
+let sink_key = Domain.DLS.new_key (fun () -> no_sink)
+
+let with_sink (cb : Events.callbacks) cur f =
+  let prev = Domain.DLS.get sink_key in
+  Domain.DLS.set sink_key
+    {
+      read = (fun loc -> cb.on_read !cur loc);
+      write = (fun loc -> cb.on_write !cur loc);
+      work = (fun n -> cb.on_work !cur n);
+    };
+  Fun.protect ~finally:(fun () -> Domain.DLS.set sink_key prev) f
+
+let work n = (Domain.DLS.get sink_key).work n
 
 (* -- instrumented memory ---------------------------------------------- *)
 
@@ -39,11 +56,11 @@ let length a = Array.length a.data
 let base a = a.base_loc
 
 let rd a i =
-  Effect.perform (Read (a.base_loc + i));
+  (Domain.DLS.get sink_key).read (a.base_loc + i);
   a.data.(i)
 
 let wr a i x =
-  Effect.perform (Write (a.base_loc + i));
+  (Domain.DLS.get sink_key).write (a.base_loc + i);
   a.data.(i) <- x
 
 let rd_raw a i = a.data.(i)

@@ -4,15 +4,18 @@
 
     A "program" is any OCaml function using these primitives; it must run
     under one of the executors ({!Serial_exec} or {!Par_exec}), which
-    handle the underlying effects. The executor enforces the structured-
-    future discipline dynamically: a handle is gettable at most once, and
-    (in serial execution) a get that would block indicates an
-    unstructured program and raises.
+    handle the effects the four control primitives perform. The executor
+    enforces the structured-future discipline dynamically: a handle is
+    gettable at most once, and (in serial execution) a get that would
+    block indicates an unstructured program and raises.
 
     Memory is allocated in a single flat location space so detectors can
-    key their access history by integer location; [rd]/[wr] emit
-    read/write events before touching the backing array — the analogue of
-    the paper's compiler instrumentation of loads and stores. *)
+    key their access history by integer location. [rd]/[wr]/[work] never
+    suspend: rather than perform an effect they call the running
+    executor's access sink (the paper's compiler-inserted call at each
+    load and store). The client's [on_read]/[on_write]/[on_work] thus run
+    on the program's own stack: an exception they raise unwinds through
+    the program's frames, where a [try ... with] can catch it. *)
 
 type !'a handle
 (** A future handle. *)
@@ -20,6 +23,9 @@ type !'a handle
 exception Unstructured_use of string
 (** Raised on single-touch violations, or when a serial execution would
     block (which a structured-futures program never does, paper §2). *)
+
+exception No_executor
+(** Raised by [rd], [wr], [work] outside an executor, never dropped. *)
 
 val spawn : (unit -> unit) -> unit
 (** The spawned subroutine may run in parallel with the continuation. *)
@@ -52,10 +58,10 @@ val base : 'a arr -> int
 (** Location ID of element 0; element [i] is location [base + i]. *)
 
 val rd : 'a arr -> int -> 'a
-(** Instrumented read (also accounts one work tick). *)
+(** Instrumented read: reports the location, then reads the cell. *)
 
 val wr : 'a arr -> int -> 'a -> unit
-(** Instrumented write (also accounts one work tick). *)
+(** Instrumented write: reports the location, then writes the cell. *)
 
 val rd_raw : 'a arr -> int -> 'a
 (** Uninstrumented read — for output checking outside the monitored
@@ -65,15 +71,17 @@ val wr_raw : 'a arr -> int -> 'a -> unit
 
 (* -- executor-internal ------------------------------------------------- *)
 
-(** Effects performed by the primitives; handled by executors only. *)
+(** Effects performed by the control primitives; handled by executors only. *)
 type _ Effect.t +=
   | Spawn : (unit -> unit) -> unit Effect.t
   | Sync : unit Effect.t
   | Create : (unit -> 'a) -> 'a handle Effect.t
   | Get : 'a handle -> 'a Effect.t
-  | Read : int -> unit Effect.t
-  | Write : int -> unit Effect.t
-  | Work : int -> unit Effect.t
+
+val with_sink : Events.callbacks -> Events.state ref -> (unit -> 'a) -> 'a
+(** [with_sink cb cur f] runs [f] with the calling domain's access sink
+    sending [rd]/[wr]/[work] to [cb] at strand [!cur], and restores the
+    previous sink when [f] returns or raises. *)
 
 module Handle : sig
   (** Internal representation manipulated by executors. *)

@@ -93,21 +93,6 @@ let run (cb : Events.callbacks) ~root main =
                       Program.Handle.claim_touch h;
                       cur := cb.on_get ~cur:!cur ~put:(Program.Handle.last_exn h);
                       Effect.Deep.continue k (Program.Handle.result_exn h))
-              | Program.Read loc ->
-                  Some
-                    (fun (k : (b, _) Effect.Deep.continuation) ->
-                      cb.on_read !cur loc;
-                      Effect.Deep.continue k ())
-              | Program.Write loc ->
-                  Some
-                    (fun (k : (b, _) Effect.Deep.continuation) ->
-                      cb.on_write !cur loc;
-                      Effect.Deep.continue k ())
-              | Program.Work n ->
-                  Some
-                    (fun (k : (b, _) Effect.Deep.continuation) ->
-                      cb.on_work !cur n;
-                      Effect.Deep.continue k ())
               | _ -> None);
         }
     in
@@ -115,6 +100,6 @@ let run (cb : Events.callbacks) ~root main =
     do_sync fr;
     result
   in
-  let result = exec_frame main in
+  let result = Program.with_sink cb cur (fun () -> exec_frame main) in
   cb.on_put !cur;
   (result, !cur)

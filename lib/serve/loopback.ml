@@ -4,6 +4,7 @@ type client = {
   server : Server.t;
   conn : Server.conn;
   rmu : Mutex.t;  (** guards the reply side: pool workers write it *)
+  rcond : Condition.t;  (** broadcast by [on_reply] after each delivery *)
   rdec : Frame.decoder;
   mutable rframes_rev : Frame.frame list;
   mutable rcredit : int;  (** granted-but-unspent send credit *)
@@ -25,6 +26,7 @@ let on_reply c bytes =
         | _ -> ())
     | Ok None | Error _ -> continue_ := false
   done;
+  Condition.broadcast c.rcond;
   Mutex.unlock c.rmu
 
 let connect server =
@@ -34,6 +36,7 @@ let connect server =
         server;
         conn = Server.connect server ~send:(fun b -> on_reply (Lazy.force c) b);
         rmu = Mutex.create ();
+        rcond = Condition.create ();
         rdec = Frame.decoder ();
         rframes_rev = [];
         rcredit = 0;
@@ -49,10 +52,8 @@ let replies c =
   Mutex.unlock c.rmu;
   fs
 
-let last_terminal c =
-  List.find_opt
-    (function Frame.Verdict _ | Frame.Reject _ -> true | _ -> false)
-    (replies c)
+let is_terminal = function Frame.Verdict _ | Frame.Reject _ -> true | _ -> false
+let last_terminal c = List.find_opt is_terminal (replies c)
 
 let credit c =
   Mutex.lock c.rmu;
@@ -127,41 +128,38 @@ let pump ?chaos ?(ignore_credit = false) ?(frame = 4096) c bytes ~pos ~len =
   done;
   !sent
 
-let await_replies ?(min = 1) ?(spin = 1_000_000) c =
-  let n () =
-    Mutex.lock c.rmu;
-    let k = List.length c.rframes_rev in
-    Mutex.unlock c.rmu;
-    k
+(* Out of credit: block until a reply grants some or ends the session.
+   An inline server sent every reply it owed before [on_bytes] returned,
+   so with it nothing more can come and the stream is stuck (a
+   chaos-mangled frame length leaves the server waiting for bytes the
+   client has no credit to send). [true] iff there is credit to spend. *)
+let await_credit c =
+  let inline = Server.inline c.server in
+  Mutex.lock c.rmu;
+  let ended () =
+    c.is_torn || c.is_disconnected
+    || List.exists is_terminal c.rframes_rev
   in
-  let i = ref 0 in
-  while n () < min && !i < spin do
-    incr i;
-    Domain.cpu_relax ()
+  while c.rcredit = 0 && (not (ended ())) && not inline do
+    Condition.wait c.rcond c.rmu
   done;
-  n () >= min
+  let go = c.rcredit > 0 && not (ended ()) in
+  Mutex.unlock c.rmu;
+  go
 
 let run_log ?chaos ?frame c image =
   hello ?chaos c;
   let len = Bytes.length image in
   let sent = ref 0 in
-  let stalled = ref 0 in
+  let stuck = ref false in
   while
     !sent < len
-    && (not (c.is_torn || c.is_disconnected))
+    && (not (c.is_torn || c.is_disconnected || !stuck))
     && last_terminal c = None
-    && !stalled < 1_000_000
   do
     let n = pump ?chaos ?frame c image ~pos:!sent ~len:(len - !sent) in
-    if n = 0 then begin
-      (* out of credit: wait for the server to grant more *)
-      incr stalled;
-      Domain.cpu_relax ()
-    end
-    else begin
-      stalled := 0;
-      sent := !sent + n
-    end
+    if n = 0 then stuck := not (await_credit c) else sent := !sent + n
   done;
-  if (not (c.is_torn || c.is_disconnected)) && last_terminal c = None then
-    close ?chaos c
+  (* never CLOSE a partial stream: that would claim a clean end *)
+  if !sent = len && (not (c.is_torn || c.is_disconnected)) && last_terminal c = None
+  then close ?chaos c

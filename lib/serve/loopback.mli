@@ -14,8 +14,8 @@
     sends DATA only up to the granted window (override with
     [~ignore_credit:true] to simulate a hostile one). With an inline
     server ([pool_domains = 0]) every reply is available as soon as
-    the call returns; with a pool, {!await_replies} spins until the
-    server's drain catches up. *)
+    the call returns; with a pool, {!run_log} blocks until the server's
+    drain grants more credit. *)
 
 type client
 
@@ -62,11 +62,8 @@ val close : ?chaos:bool -> client -> unit
 
 val run_log : ?chaos:bool -> ?frame:int -> client -> Bytes.t -> unit
 (** The whole client lifecycle: {!hello}, {!pump} in credit-sized
-    bursts until the image is fully sent (waiting for credit as
-    needed), then {!close}. Stops early if the uplink tears or a
-    terminal reply arrives. *)
-
-val await_replies : ?min:int -> ?spin:int -> client -> bool
-(** Spin (with [Domain.cpu_relax]) until at least [min] (default 1)
-    reply frames arrived or ~[spin] iterations passed. [true] iff
-    satisfied. Inline servers satisfy immediately. *)
+    bursts until the image is fully sent, then {!close}. Out of credit,
+    it blocks until a reply grants more (however long the server's
+    drain takes) or ends the session. Stops early if the uplink tears, a
+    terminal reply arrives, or an inline server ({!Server.inline}) has
+    nothing more to grant; a stream stopped early is never closed. *)

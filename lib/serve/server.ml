@@ -604,6 +604,7 @@ let tick t =
   if t.cfg.defer_ingest then List.iter (fun conn -> pump t conn) conns
 
 let quiesce t = match t.pool with None -> () | Some p -> pool_quiesce p
+let inline t = t.pool = None && not t.cfg.defer_ingest
 
 let shutdown t =
   if not t.stopped then begin

@@ -85,6 +85,10 @@ val session_id : conn -> int option
 (** The session id assigned at {!connect}; [None] once the connection
     has been reaped after finishing. *)
 
+val inline : t -> bool
+(** [pool_domains = 0] without [defer_ingest]: the server sends every
+    reply a frame earns (credit included) before {!on_bytes} returns. *)
+
 val quiesce : t -> unit
 (** Block until every scheduled ingest job has drained (pool mode);
     no-op inline. Callers must stop feeding bytes first. *)

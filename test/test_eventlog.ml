@@ -997,6 +997,53 @@ let test_trace_accesses_sorted () =
   in
   check Alcotest.bool "sorted by (node, loc, kind)" true (sorted accs)
 
+(* -- CRC-32 ------------------------------------------------------------ *)
+
+(* Bit-at-a-time reference CRC-32 (reflected, polynomial 0xEDB88320). *)
+let crc32_bitwise crc bytes ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get bytes i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Random bytes cut into a chain of slices at random, often unaligned,
+   offsets; short slices (0-15 bytes) exercise the bytewise tail alone. *)
+let prop_crc32_matches_bitwise =
+  QCheck2.Test.make ~name:"crc32: chained slices equal the bitwise reference"
+    ~count:500
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 300))
+        (list_size (int_range 1 6) (pair (int_bound 40) (int_bound 300))))
+    (fun (s, slices) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let fast, slow =
+        List.fold_left
+          (fun (fast, slow) (pos, len) ->
+            let pos = pos mod (n + 1) in
+            let len = min len (n - pos) in
+            ( Log_format.crc32_update fast b ~pos ~len,
+              crc32_bitwise slow b ~pos ~len ))
+          (Log_format.crc32_init, Log_format.crc32_init)
+          slices
+      in
+      fast = slow)
+
+let test_crc32_check_value () =
+  let b = Bytes.of_string "123456789" in
+  check Alcotest.int "CRC-32 check value" 0xCBF43926
+    (Log_format.crc32_update Log_format.crc32_init b ~pos:0 ~len:9);
+  List.iter
+    (fun (pos, len) ->
+      match Log_format.crc32_update 0 b ~pos ~len with
+      | _ -> Alcotest.failf "slice (%d, %d) accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, 10); (8, 2); (3, -1) ]
+
 let () =
   Alcotest.run "eventlog"
     [
@@ -1027,6 +1074,9 @@ let () =
           Alcotest.test_case "crafted corruption" `Quick test_crafted_corruption;
           Alcotest.test_case "chaos-torn logs" `Quick test_chaos_torn_logs;
           Alcotest.test_case "huge state id" `Quick test_huge_state_id;
+          Alcotest.test_case "crc32 check value and bad slices" `Quick
+            test_crc32_check_value;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
           QCheck_alcotest.to_alcotest prop_decoder_bounded;
           QCheck_alcotest.to_alcotest prop_columns_round_trip;
         ] );

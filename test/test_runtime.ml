@@ -254,6 +254,128 @@ let test_par_workers_bounds () =
     (rejects (Par_exec.max_workers + 1))
 
 (* ------------------------------------------------------------------ *)
+(* Access sink                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let counting () =
+  let n = ref 0 in
+  let tick _ _ = incr n in
+  (n, { Events.null with on_read = tick; on_write = tick; on_work = tick })
+
+let refused f =
+  match f () with _ -> false | exception Program.No_executor -> true
+
+(* rd/wr/work outside any executor are refused, never dropped *)
+let test_sink_outside_executor () =
+  let a = Program.alloc 1 0 in
+  check bool "rd" true (refused (fun () -> Program.rd a 0));
+  check bool "wr" true (refused (fun () -> Program.wr a 0 1));
+  check bool "work" true (refused (fun () -> Program.work 1))
+
+(* A null-client serial run allocates nothing per access: the accesses
+   call the executor's sink directly instead of performing an effect
+   (which cost 13 minor words each). *)
+let test_sink_alloc_pin () =
+  let sort = Option.get (Sfr_workloads.Registry.find "sort") in
+  let inst () = sort.instantiate Sfr_workloads.Workload.Small in
+  let n, cb = counting () in
+  ignore (Serial_exec.run cb ~root:Events.Unit_state (inst ()).program);
+  let i = inst () in
+  let w0 = Gc.minor_words () in
+  ignore (Serial_exec.run Events.null ~root:Events.Unit_state i.program);
+  let per = (Gc.minor_words () -. w0) /. float_of_int !n in
+  check bool "many accesses" true (!n > 10_000);
+  check bool (Printf.sprintf "%.3f minor words per access < 1" per) true
+    (per < 1.)
+
+(* Each executor restores the sink it found, on return and on raise: an
+   inner run nested in an outer program hands later accesses back to the
+   outer client, and after the outermost run accesses are refused again. *)
+let test_sink_restored () =
+  let a = Program.alloc 1 0 in
+  let inner_runs =
+    [
+      ("serial", fun cb f -> ignore (Serial_exec.run cb ~root:Events.Unit_state f));
+      ( "parallel",
+        fun cb f -> ignore (Par_exec.run ~workers:2 cb ~root:Events.Unit_state f) );
+    ]
+  in
+  List.iter
+    (fun (name, inner) ->
+      let outer_n, outer = counting () in
+      let inner_n, inner_cb = counting () in
+      ignore
+        (Serial_exec.run outer ~root:Events.Unit_state (fun () ->
+             inner inner_cb (fun () -> Program.wr a 0 1);
+             Program.wr a 0 2;
+             (try inner inner_cb (fun () -> Program.wr a 0 3; failwith "inner")
+              with Failure _ -> ());
+             Program.wr a 0 4));
+      check int (name ^ ": inner accesses") 2 !inner_n;
+      check int (name ^ ": outer accesses after inner runs") 2 !outer_n;
+      inner inner_cb ignore;
+      check bool (name ^ ": refused after return") true
+        (refused (fun () -> Program.rd a 0));
+      (try inner inner_cb (fun () -> failwith "top") with Failure _ -> ());
+      check bool (name ^ ": refused after raise") true
+        (refused (fun () -> Program.rd a 0)))
+    inner_runs
+
+(* With forced steals, a get or sync that parks resumes on whichever
+   worker wakes it. Every access after the resume must land on the
+   resumed strand: the read after [get] on a Get strand fed by a get
+   edge, the read after [sync] on a Sync strand, and the naive oracle
+   finds no race in this race-free program. *)
+let test_sink_follows_resumed_strand () =
+  let rounds = 40 in
+  let prog a b () =
+    for i = 0 to rounds - 1 do
+      let h = Program.create (fun () -> Program.work 20; Program.wr a i i) in
+      Program.spawn (fun () -> Program.work 20; Program.wr b i i);
+      Program.get h;
+      ignore (Program.rd a i);
+      Program.sync ();
+      ignore (Program.rd b i)
+    done
+  in
+  let config =
+    { Sfr_chaos.Chaos.default_config with steal_rate = 1.0; fault_rate = 0. }
+  in
+  List.iter
+    (fun seed ->
+      let a = Program.alloc rounds 0 and b = Program.alloc rounds 0 in
+      let trace, cb, root = Trace.make ~log_accesses:true () in
+      Sfr_chaos.Chaos.with_armed ~config ~seed (fun () ->
+          ignore (Par_exec.run ~workers:2 cb ~root (prog a b)));
+      let dag = Trace.dag trace in
+      let log = Trace.accesses trace in
+      let reads_of arr =
+        List.filter
+          (fun x ->
+            (not x.Trace.is_write)
+            && x.loc >= Program.base arr
+            && x.loc < Program.base arr + rounds)
+          log
+      in
+      check int "every access logged" (4 * rounds) (List.length log);
+      List.iter
+        (fun x ->
+          check bool "read after get on the get strand" true
+            (Dag.kind_of dag x.Trace.node = Dag.Get
+            && List.exists
+                 (fun (e, _) -> e = Dag.Get_edge)
+                 (Dag.preds dag x.node)))
+        (reads_of a);
+      List.iter
+        (fun x ->
+          check bool "read after sync on the sync strand" true
+            (Dag.kind_of dag x.Trace.node = Dag.Sync))
+        (reads_of b);
+      check (Alcotest.list int) "naive oracle: race-free" []
+        (Sfr_detect.Naive_detector.analyze dag log).racy_locations)
+    [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Deque model check                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -375,6 +497,14 @@ let () =
           Alcotest.test_case "future exception no deadlock" `Quick
             test_par_future_exception_no_deadlock;
           Alcotest.test_case "worker count bounds" `Quick test_par_workers_bounds;
+        ] );
+      ( "sink",
+        [
+          Alcotest.test_case "outside an executor" `Quick test_sink_outside_executor;
+          Alcotest.test_case "no allocation per access" `Quick test_sink_alloc_pin;
+          Alcotest.test_case "restored on return and raise" `Quick test_sink_restored;
+          Alcotest.test_case "follows the resumed strand" `Quick
+            test_sink_follows_resumed_strand;
         ] );
       ("deque", [ Alcotest.test_case "vs list model" `Quick test_deque_vs_model ]);
       ("properties", qtests);

@@ -746,6 +746,39 @@ let test_chaos_wire_sweep () =
   check Alcotest.bool "the campaign actually faulted something" true
     (!faulted > 0)
 
+(* A credit grant that comes late -- the drain runs only when another
+   thread ticks the deferred-ingest server -- must be waited for, however
+   long it takes: [run_log] blocks on the reply instead of giving up
+   after a spin count and closing a partial stream. *)
+let test_late_credit () =
+  let image, base, offline, _ = workload_image "mm" ~inject_race:true in
+  let session = { Session.default_config with credit_window = 1024 } in
+  check Alcotest.bool "fixture overflows the credit window" true
+    (Bytes.length image > 1024);
+  with_server ~now_ms:(fun () -> 0) (mk_cfg ~session ~defer:true ())
+    (fun server ->
+      let c = Loopback.connect server in
+      let finished = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            Loopback.run_log ~chaos:false ~frame:256 c image;
+            Atomic.set finished true)
+      in
+      (* the first grant arrives only after the client has waited *)
+      Unix.sleepf 0.3;
+      while not (Atomic.get finished) do
+        Server.tick server;
+        Unix.sleepf 0.001
+      done;
+      Domain.join d;
+      Server.tick server (* drains the CLOSE *);
+      let o = outcome_exn server (sid_of c) in
+      check tcode "late credit still completes" (expect_code offline)
+        o.Session.code;
+      check slist "late credit verdict" offline (norm base o.Session.reports);
+      check Alcotest.int "every byte analyzed" (Bytes.length image)
+        o.Session.bytes_analyzed)
+
 (* -- acceptance soak ---------------------------------------------------- *)
 
 let test_soak () =
@@ -864,6 +897,7 @@ let () =
           Alcotest.test_case "session isolation" `Quick test_isolation;
           Alcotest.test_case "huge state id" `Quick test_huge_state_id;
           Alcotest.test_case "backpressure bounds" `Quick test_backpressure_bounds;
+          Alcotest.test_case "late credit is waited for" `Quick test_late_credit;
         ] );
       ( "overload",
         [
