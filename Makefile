@@ -42,24 +42,30 @@ examples:
 	dune exec examples/race_debugging.exe
 	dune exec examples/video_pipeline.exe
 
-# Record mm and sw, replay each with 1 and 4 shards, and require the
-# reports to be byte-identical (stdout is shard-count-invariant). Then
-# replay mm under a registry detector (vc-order) and require its races
-# and query count (stdout from line 2 on) to match sf-order's.
+# Record mm and sw, replay each inline and with 1 and 4 shards, and
+# require the whole stdout to be byte-identical (--shards N is N
+# location-filtered replays of the same log). Then replay mm under a
+# second registry detector (vc-order): its races and query count
+# (stdout from line 2 on) must match sf-order's, and its 4-shard stdout
+# must match its inline one.
 replay-smoke:
 	dune build bin/racedetect.exe
 	@set -e; for w in mm sw; do \
 	  dune exec bin/racedetect.exe -- record -w $$w -s small -o /tmp/$$w.sflog; \
-	  dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog --shards 1 > /tmp/$$w.s1.out; \
-	  dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog --shards 4 > /tmp/$$w.s4.out; \
-	  diff /tmp/$$w.s1.out /tmp/$$w.s4.out && echo "$$w: 1-shard and 4-shard reports identical"; \
+	  dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog > /tmp/$$w.out; \
+	  for n in 1 4; do \
+	    dune exec bin/racedetect.exe -- replay /tmp/$$w.sflog --shards $$n > /tmp/$$w.s$$n.out; \
+	    diff /tmp/$$w.out /tmp/$$w.s$$n.out && echo "$$w: inline and $$n-shard stdout identical"; \
+	  done; \
 	  if [ $$w = mm ]; then \
-	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d sf-order | tail -n +2 > /tmp/mm.sf.out; \
-	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order | tail -n +2 > /tmp/mm.vc.out; \
-	    diff /tmp/mm.sf.out /tmp/mm.vc.out && echo "mm: vc-order and sf-order replay reports identical"; \
-	    rm -f /tmp/mm.sf.out /tmp/mm.vc.out; \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order > /tmp/mm.vc.out; \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order --shards 4 > /tmp/mm.vc4.out; \
+	    diff /tmp/mm.vc.out /tmp/mm.vc4.out && echo "mm: vc-order inline and 4-shard stdout identical"; \
+	    tail -n +2 /tmp/mm.out > /tmp/mm.sf.tail; tail -n +2 /tmp/mm.vc.out > /tmp/mm.vc.tail; \
+	    diff /tmp/mm.sf.tail /tmp/mm.vc.tail && echo "mm: vc-order and sf-order replay reports identical"; \
+	    rm -f /tmp/mm.vc.out /tmp/mm.vc4.out /tmp/mm.sf.tail /tmp/mm.vc.tail; \
 	  fi; \
-	  rm -f /tmp/$$w.sflog /tmp/$$w.s1.out /tmp/$$w.s4.out; \
+	  rm -f /tmp/$$w.sflog /tmp/$$w.out /tmp/$$w.s1.out /tmp/$$w.s4.out; \
 	done
 
 # Run one workload under every registered detector, driven by the

@@ -11,11 +11,12 @@
                       [--detector sf-order] [--oracle] [--no-verify] [--stats]
      racedetect record --workload mm -o mm.sflog [--executor parallel]
      racedetect replay mm.sflog [--detector sf-order] [--shards N]
+                      (--shards: N location-filtered replays, same output)
      racedetect analyze mm.sflog    (dag, work/span, naive race verdict)
      racedetect metrics-dump [--workload mm] [--check] [-o FILE]
      racedetect telemetry-lint t.jsonl [--min-samples N]
      racedetect serve --socket /tmp/rd.sock [--budget BYTES]
-                      [--overload shed|park|block] [--pool N] [--shards N]
+                      [--overload shed|park|block] [--pool N]
                       [--deadline-ms N] [--idle-ms N] [--max-sessions N]
      racedetect stress-client --socket /tmp/rd.sock --workload mm
                       --sessions 4 [--torn 1] [--over-budget 1] [--idle 1]
@@ -70,21 +71,23 @@ let detector_term ?(extra_doc = "") () =
           ("Detector name (see $(b,racedetect detectors)); $(b,help) prints \
             the registry listing." ^ extra_doc))
 
-(* Integer counts of at least 1 (and at most [hi]): a bad value exits 2
-   at parse time instead of reaching the code that would reject it. *)
-let positive_upto hi =
+(* Integer counts of at least [lo] (default 1) and at most [hi]: a bad
+   value exits 2 at parse time instead of reaching the code that would
+   reject it. *)
+let positive_upto ?(lo = 1) hi =
   Arg.conv
     ( (fun s ->
         match int_of_string_opt s with
-        | Some n when n >= 1 && n <= hi -> Ok n
+        | Some n when n >= lo && n <= hi -> Ok n
         | Some _ | None ->
             Error
               (`Msg
-                 (if hi = max_int then Printf.sprintf "%S is not an integer >= 1" s
-                  else Printf.sprintf "%S is not an integer in 1..%d" s hi))),
+                 (if hi = max_int then Printf.sprintf "%S is not an integer >= %d" s lo
+                  else Printf.sprintf "%S is not an integer in %d..%d" s lo hi))),
       Format.pp_print_int )
 
 let positive = positive_upto max_int
+let non_negative = positive_upto ~lo:0 max_int
 
 (* -j/--workers, shared by run, record and chaos. *)
 let workers_term ?(default = 2) ~doc () =
@@ -552,7 +555,7 @@ let record_cmd =
 let replay_cmd =
   let doc =
     "Detect races offline by replaying a recorded event log — optionally \
-     sharded by location across parallel domains. Exits 1 when races are \
+     split by location into parallel replays. Exits 1 when races are \
      reported, like $(b,run)."
   in
   let file =
@@ -561,28 +564,27 @@ let replay_cmd =
   in
   let detector =
     detector_term
-      ~extra_doc:
-        " Serial-only detectors accept single-worker logs; --shards \
-         requires a shardable one."
-      ()
+      ~extra_doc:" Serial-only detectors accept single-worker logs." ()
   in
   let shards =
     Arg.(
       value
-      & opt (some int) None
+      & opt (positive_upto Par_exec.max_workers) 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             (Printf.sprintf
-               "Replay structure once, then check accesses sharded by \
-                location hash on $(docv) domains (SF-Order reachability), at \
-                most %d. Output is identical for every shard count."
-               Stream_replay.max_shards))
+               "Replay the log $(docv) times on parallel domains, each \
+                checking the accesses to one class of locations (by hash), \
+                at most %d. Output is identical for every $(docv); each \
+                replay decodes the log and rebuilds the structure, so this \
+                helps only when access checks dominate."
+               Par_exec.max_workers))
   in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print metric counters and shard sizes after the replay.")
+          ~doc:"Print metric counters (summed over the shards) after the replay.")
   in
   let no_verify =
     Arg.(
@@ -591,24 +593,10 @@ let replay_cmd =
   in
   let run file detector shards stats no_verify =
     let entry = resolve_detector detector in
-    let mode =
-      match shards with
-      | None -> Stream_replay.Detector (entry.Detectors.make ())
-      | Some n when n < 1 || n > Stream_replay.max_shards ->
-          Printf.eprintf "--shards must be in 1..%d\n" Stream_replay.max_shards;
-          exit 2
-      | Some n ->
-          if not entry.Detectors.caps.Detectors.shardable then begin
-            Printf.eprintf
-              "detector %s does not support sharded replay (--shards %d); \
-               its capabilities are below\n%s"
-              entry.Detectors.name n (Detectors.listing ());
-            exit 2
-          end;
-          Stream_replay.Sharded n
-    in
     let v, dt =
-      try Stats.time (fun () -> Stream_replay.run_file mode file)
+      try
+        Stats.time (fun () ->
+            Stream_replay.run_sharded ~shards entry.Detectors.make file)
       with Sys_error msg ->
         Printf.eprintf "%s: %s\n" file msg;
         exit 2
@@ -618,28 +606,11 @@ let replay_cmd =
         (Stream_replay.status_to_string v.Stream_replay.status);
       exit 2
     end;
-    (* sharded stdout is shard-count-independent (diffable across N);
-       timing and the shard split go to stderr / --stats *)
-    (match shards with
-    | Some _ ->
-        Printf.printf "replayed %d structural events, %d accesses\n"
-          (v.Stream_replay.events_applied - v.Stream_replay.accesses)
-          v.Stream_replay.accesses
-    | None ->
-        Printf.printf "replayed %d events under %s\n"
-          v.Stream_replay.events_applied entry.Detectors.name);
+    Printf.printf "replayed %d events under %s\n" v.Stream_replay.events_applied
+      entry.Detectors.name;
     Printf.printf "reachability queries: %d\n" v.Stream_replay.queries;
     let racy = print_races v.Stream_replay.reports in
-    Printf.eprintf "replayed in %.3f s%s\n" dt
-      (match shards with
-      | Some n -> Printf.sprintf " on %d shard(s)" n
-      | None -> "");
-    if stats && shards <> None then begin
-      print_endline "-- shards -----------------------------------------";
-      Array.iteri
-        (fun i sz -> Printf.printf "shard %d: %d accesses\n" i sz)
-        v.Stream_replay.shard_sizes
-    end;
+    Printf.eprintf "replayed in %.3f s\n" dt;
     if stats then begin
       print_endline "-- metrics ----------------------------------------";
       print_string
@@ -668,7 +639,7 @@ let analyze_cmd =
   let run file no_verify =
     let trace, det = Naive_detector.trace_detector () in
     let v =
-      try Stream_replay.run_file (Stream_replay.Detector det) file
+      try Stream_replay.run_file det file
       with Sys_error msg ->
         Printf.eprintf "%s: %s\n" file msg;
         exit 2
@@ -711,10 +682,14 @@ let analyze_cmd =
 let synth_cmd =
   let doc = "Race detect a random structured-futures program." in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Operation budget.") in
-  let depth = Arg.(value & opt int 5 & info [ "depth" ] ~doc:"Nesting depth.") in
+  let ops =
+    Arg.(value & opt non_negative 200 & info [ "ops" ] ~doc:"Operation budget.")
+  in
+  let depth =
+    Arg.(value & opt non_negative 5 & info [ "depth" ] ~doc:"Nesting depth.")
+  in
   let locs =
-    Arg.(value & opt int 16 & info [ "locs" ] ~doc:"Shared locations.")
+    Arg.(value & opt positive 16 & info [ "locs" ] ~doc:"Shared locations.")
   in
   let detector = detector_term () in
   let oracle =
@@ -779,16 +754,22 @@ let chaos_cmd =
      parallel detector vs serial oracle, shrinking failures."
   in
   let seeds =
-    Arg.(value & opt int 50 & info [ "seeds" ] ~doc:"Number of seeds to sweep.")
+    Arg.(
+      value & opt positive 50 & info [ "seeds" ] ~doc:"Number of seeds to sweep.")
   in
   let base_seed =
     Arg.(value & opt int 1 & info [ "base-seed" ] ~doc:"First seed.")
   in
   let ops =
-    Arg.(value & opt int 120 & info [ "ops" ] ~doc:"Op budget per program.")
+    Arg.(
+      value & opt non_negative 120 & info [ "ops" ] ~doc:"Op budget per program.")
   in
-  let depth = Arg.(value & opt int 4 & info [ "depth" ] ~doc:"Nesting depth.") in
-  let locs = Arg.(value & opt int 6 & info [ "locs" ] ~doc:"Shared locations.") in
+  let depth =
+    Arg.(value & opt non_negative 4 & info [ "depth" ] ~doc:"Nesting depth.")
+  in
+  let locs =
+    Arg.(value & opt positive 6 & info [ "locs" ] ~doc:"Shared locations.")
+  in
   let detector = detector_term () in
   let oracle =
     Arg.(
@@ -915,7 +896,7 @@ let chaos_cmd =
 let detectors_cmd =
   let doc =
     "List the registered race-detector backends with their capability \
-     flags (parallel/serial, shardable, oracle-grade, scale ceiling)."
+     flags (parallel/serial, oracle-grade, scale ceiling)."
   in
   let names_only =
     Arg.(
@@ -1013,16 +994,6 @@ let serve_cmd =
       & info [ "idle-ms" ] ~docv:"MS"
           ~doc:"Per-session idle timeout (ERR_IDLE, retryable).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf
-               "Location-sharded access checking per session, as replay (1 \
-                to %d)."
-               Stream_replay.max_shards))
-  in
   let pool =
     Arg.(
       value & opt int 0
@@ -1063,8 +1034,8 @@ let serve_cmd =
         "Sample continuous telemetry during serving and stream it as JSONL \
          to $(docv). See $(b,telemetry-lint) for validation."
   in
-  let run socket tcp budget overload credit_window deadline_ms idle_ms shards
-      pool max_sessions stats audit_out sinks =
+  let run socket tcp budget overload credit_window deadline_ms idle_ms pool
+      max_sessions stats audit_out sinks =
     let addr =
       match addr_of ~socket ~tcp with
       | Ok a -> a
@@ -1075,7 +1046,7 @@ let serve_cmd =
     let cfg =
       {
         Serve.session =
-          { Serve_session.credit_window; deadline_ms; idle_ms; shards };
+          { Serve_session.credit_window; deadline_ms; idle_ms };
         global_budget = budget;
         overload;
         pool_domains = pool;
@@ -1232,7 +1203,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket $ tcp $ budget $ overload $ credit_window
-      $ deadline_ms $ idle_ms $ shards $ pool $ max_sessions $ stats
+      $ deadline_ms $ idle_ms $ pool $ max_sessions $ stats
       $ audit_out $ sinks)
 
 (* One stress-client session: its own socket, its own behaviour mode. *)

@@ -1,7 +1,6 @@
 type caps = {
   supports_parallel : bool;
   oracle_grade : bool;
-  shardable : bool;
   figure : bool;
   scale_ceiling : string option;
 }
@@ -33,7 +32,6 @@ let register e =
 let caps_string c =
   String.concat ","
     ((if c.supports_parallel then [ "parallel" ] else [ "serial" ])
-    @ (if c.shardable then [ "shard" ] else [])
     @ (if c.oracle_grade then [ "oracle" ] else [])
     @ match c.scale_ceiling with Some s -> [ "<=" ^ s ] | None -> [])
 
@@ -64,7 +62,6 @@ let () =
         {
           supports_parallel = false;
           oracle_grade = true;
-          shardable = false;
           figure = true;
           scale_ceiling = None;
         };
@@ -79,7 +76,6 @@ let () =
         {
           supports_parallel = true;
           oracle_grade = false;
-          shardable = false;
           figure = true;
           scale_ceiling = None;
         };
@@ -94,7 +90,6 @@ let () =
         {
           supports_parallel = true;
           oracle_grade = false;
-          shardable = true;
           figure = true;
           scale_ceiling = None;
         };
@@ -109,7 +104,6 @@ let () =
         {
           supports_parallel = true;
           oracle_grade = false;
-          shardable = false;
           figure = false;
           scale_ceiling = None;
         };
@@ -124,7 +118,6 @@ let () =
         {
           supports_parallel = true;
           oracle_grade = true;
-          shardable = false;
           figure = false;
           scale_ceiling = None;
         };

@@ -21,10 +21,6 @@ type caps = {
   oracle_grade : bool;
       (** an independent algorithm whose serial run is usable as
           differential ground truth (chaos [--oracle]). *)
-  shardable : bool;
-      (** supports location-sharded replay ([--shards]); only SF-Order,
-          whose reachability {!Sfr_eventlog.Stream_replay.Sharded}
-          builds. *)
   figure : bool;  (** appears in the paper-reproduction figure tables. *)
   scale_ceiling : string option;
       (** largest {!Sfr_workloads.Workload.scale} name the detector is
@@ -50,7 +46,7 @@ val register : entry -> unit
     @raise Invalid_argument on a duplicate name. *)
 
 val caps_string : caps -> string
-(** Compact flag rendering, e.g. ["parallel,shard"]. *)
+(** Compact flag rendering, e.g. ["parallel,oracle"]. *)
 
 val listing : unit -> string
 (** Human-readable table of every entry: name, flags, doc. *)

@@ -50,11 +50,11 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
   let cp = Cp_store.create () in
   let races = Race.create () in
   (* Query count, striped over 128 atomics picked by domain ID, each
-     padded to its own cache line: one shared counter would serialize
-     every domain on one line and dominate sharded replay (millions of
-     queries per domain). Domains whose IDs agree mod 128 share a stripe
-     — sharded replay spawns a fresh domain per batch, so IDs do wrap —
-     and [Atomic.incr] keeps the sum exact when they run together. *)
+     padded to its own cache line: the parallel executor's workers all
+     query one detector, and a single shared counter would serialize
+     them on one line. Domains whose IDs agree mod 128 share a stripe
+     (IDs grow with every spawn in the process, so they do wrap), and
+     [Atomic.incr] keeps the sum exact when they run together. *)
   let padded_atomic () : int Atomic.t =
     (* the atomic primitives touch field 0 only; fields 1..7 are padding *)
     let b = Obj.new_block 0 8 in
@@ -187,5 +187,3 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
     fun u v -> precedes (as_sf u) (as_sf v) )
 
 let make ?readers ?sets ?history () = fst (make_with_precedes ?readers ?sets ?history ())
-
-let strand_future st = (as_sf st).fid

@@ -65,9 +65,3 @@ val make_with_precedes :
 (** The detector plus its raw [Precedes] query over strand states (for
     reachability differential tests and power users); valid during and
     after the execution. *)
-
-val strand_future : Sfr_runtime.Events.state -> int
-(** The future dag a strand state belongs to — lets offline drivers
-    (e.g. {!Sfr_eventlog}'s sharded replay) attribute race reports to
-    futures without reaching into the detector.
-    @raise Detect_error.Error on a foreign state. *)

@@ -1,14 +1,11 @@
 module Events = Sfr_runtime.Events
 module Detector = Sfr_detect.Detector
-module Sf_order = Sfr_detect.Sf_order
-module Access_history = Sfr_detect.Access_history
 module Race = Sfr_detect.Race
 module Detect_error = Sfr_detect.Detect_error
 module Metrics = Sfr_obs.Metrics
 
 let m_events = Metrics.counter "eventlog.stream.events"
 let m_steps = Metrics.counter "eventlog.stream.steps"
-let m_shard_checks = Metrics.counter "eventlog.stream.shard_checks"
 
 (* Hot-path attribution for the serve layer's ingest: one [step] is the
    analysis work a drained chunk pays for. *)
@@ -41,15 +38,12 @@ let status_to_string = function
   | Inconsistent e -> error_to_string e
   | Detector_failed msg -> Printf.sprintf "detector failed: %s" msg
 
-type mode = Detector of Detector.t | Sharded of int
-
 type verdict = {
   status : status;
   reports : Race.report list;
   racy_locations : int list;
   events_applied : int;
   accesses : int;
-  shard_sizes : int array;
   bytes_analyzed : int;
   queries : int;
 }
@@ -180,29 +174,10 @@ let push ws (b : Stream_reader.batch) r =
   else ws.arg1.(i) <- b.arg1.(r);
   ws.tail <- i + 1
 
-(* Pending accesses that trigger a parallel shard check. *)
-let access_batch = 8192
-
-type shard_state = {
-  n : int;
-  histories : Events.state Access_history.t array;
-  races : Race.t array;
-  (* per shard, the pending accesses in merge order: [len.(s)] rows of
-     accessor, location and kind, reused across flushes *)
-  p_state : Events.state array array;
-  p_loc : int array array;
-  p_write : Bytes.t array;
-  len : int array;
-  mutable n_pending : int;
-  sizes : int array;  (** accesses routed to each shard so far *)
-  precedes : Events.state -> Events.state -> bool;
-}
-
 type t = {
   reader : Stream_reader.t;
   det : Detector.t;
   cb : Events.callbacks;
-  shards : shard_state option;  (** [None] = inline checking *)
   mutable streams : wstream array;
   mutable first_worker : int;  (** worker of the first event; -1 before *)
   states : cell Sfr_support.Loc_table.t;
@@ -212,36 +187,7 @@ type t = {
   mutable final : verdict option;  (** close is idempotent *)
 }
 
-let max_shards = 64
-
-let create mode =
-  let det, shards =
-    match mode with
-    | Detector det -> (det, None)
-    | Sharded n ->
-        if n < 1 || n > max_shards then
-          invalid_arg
-            (Printf.sprintf "Stream_replay.create: shards must be in 1..%d"
-               max_shards);
-        let det, precedes = Sf_order.make_with_precedes () in
-        ( det,
-          Some
-            {
-              n;
-              histories =
-                Array.init n (fun _ ->
-                    Access_history.create ~sync:`Unsynchronized
-                      Access_history.Keep_all);
-              races = Array.init n (fun _ -> Race.create ());
-              p_state = Array.make n [||];
-              p_loc = Array.make n [||];
-              p_write = Array.make n Bytes.empty;
-              len = Array.make n 0;
-              n_pending = 0;
-              sizes = Array.make n 0;
-              precedes;
-            } )
-  in
+let create det =
   let states = new_states () in
   (* the root state exists before any event *)
   define states 0 det.Detector.root;
@@ -249,7 +195,6 @@ let create mode =
     reader = Stream_reader.create ();
     det;
     cb = det.Detector.callbacks;
-    shards;
     streams = [||];
     first_worker = -1;
     states;
@@ -312,82 +257,6 @@ let waits_on t ws i =
 let rec states_of s side o n acc =
   if n = 0 then acc else states_of s side o (n - 1) (lookup s side.(o + n - 1) :: acc)
 
-(* -- sharded access checking ------------------------------------------- *)
-
-(* Fibonacci multiplicative hash: spreads clustered location ranges (each
-   workload allocates a contiguous block) evenly over the shards. *)
-let shard_of ~loc ~shards =
-  if shards = 1 then 0 else (loc * 0x9E3779B1 land max_int) mod shards
-
-let check_shard_batch sh s =
-  let history = sh.histories.(s) in
-  let races = sh.races.(s) in
-  let precedes = sh.precedes in
-  let future_of = Sf_order.strand_future in
-  let states = sh.p_state.(s) and locs = sh.p_loc.(s) and writes = sh.p_write.(s) in
-  (* the checks are built once per batch and read the access being
-     checked from [cur], so the loop allocates nothing per access *)
-  let cur = ref 0 in
-  let check ~prev ~prev_is_writer =
-    let state = states.(!cur) in
-    if not (precedes prev state) then
-      Race.report races ~loc:locs.(!cur)
-        ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-        ~prev_future:(future_of prev) ~cur_future:(future_of state)
-  in
-  let check_writer w =
-    let state = states.(!cur) in
-    if not (precedes w state) then
-      Race.report races ~loc:locs.(!cur) ~kind:Race.Write_read
-        ~prev_future:(future_of w) ~cur_future:(future_of state)
-  in
-  for i = 0 to sh.len.(s) - 1 do
-    cur := i;
-    let state = states.(i) and loc = locs.(i) in
-    if Bytes.get writes i <> '\000' then
-      Access_history.on_write history ~loc ~accessor:state ~check
-    else Access_history.on_read history ~loc ~accessor:state ~check_writer
-  done
-
-(* Check every pending per-shard batch, shard 0 on the calling domain
-   and the rest on freshly spawned ones. Runs while the structural merge
-   is paused, so the frozen-prefix reachability structures are
-   read-only. *)
-let flush_shards sh =
-  if sh.n_pending > 0 then begin
-    Metrics.incr m_shard_checks;
-    let work = ref [] in
-    for s = sh.n - 1 downto 1 do
-      if sh.len.(s) > 0 then
-        work := Domain.spawn (fun () -> check_shard_batch sh s) :: !work
-    done;
-    if sh.len.(0) > 0 then check_shard_batch sh 0;
-    List.iter Domain.join !work;
-    Array.fill sh.len 0 sh.n 0;
-    sh.n_pending <- 0
-  end
-
-(* Queue an access on its location's shard. *)
-let add_access sh state loc is_write =
-  let s = shard_of ~loc ~shards:sh.n in
-  let i = sh.len.(s) in
-  if i = Array.length sh.p_loc.(s) then begin
-    let cap = min access_batch (max 64 (2 * i)) in
-    let st = Array.make cap Undefined and lc = Array.make cap 0 and wr = Bytes.make cap '\000' in
-    Array.blit sh.p_state.(s) 0 st 0 i;
-    Array.blit sh.p_loc.(s) 0 lc 0 i;
-    Bytes.blit sh.p_write.(s) 0 wr 0 i;
-    sh.p_state.(s) <- st;
-    sh.p_loc.(s) <- lc;
-    sh.p_write.(s) <- wr
-  end;
-  sh.p_state.(s).(i) <- state;
-  sh.p_loc.(s).(i) <- loc;
-  Bytes.set sh.p_write.(s) i (if is_write then '\001' else '\000');
-  sh.len.(s) <- i + 1;
-  sh.sizes.(s) <- sh.sizes.(s) + 1;
-  sh.n_pending <- sh.n_pending + 1
-
 (* -- the merge loop ----------------------------------------------------- *)
 
 let latch t status = if t.failed = None then t.failed <- Some status
@@ -399,14 +268,8 @@ let apply_event t ws i =
   let op = ws.op.(i) and a0 = ws.arg0.(i) in
   if op = Log_format.op_read || op = Log_format.op_write then begin
     let state = lookup s a0 and loc = ws.arg1.(i) in
-    match t.shards with
-    | None ->
-        if op = Log_format.op_read then cb.on_read state loc else cb.on_write state loc;
-        t.accesses <- t.accesses + 1
-    | Some sh ->
-        add_access sh state loc (op = Log_format.op_write);
-        t.accesses <- t.accesses + 1;
-        if sh.n_pending >= access_batch then flush_shards sh
+    if op = Log_format.op_read then cb.on_read state loc else cb.on_write state loc;
+    t.accesses <- t.accesses + 1
   end
   else if op = Log_format.op_work then cb.on_work (lookup s a0) ws.arg1.(i)
   else if op = Log_format.op_spawn || op = Log_format.op_create then begin
@@ -520,25 +383,13 @@ let find_blocked t =
 let undrained t = Array.exists (fun ws -> ws.head < ws.tail) t.streams
 
 let make_verdict t status =
-  let reports, shard_sizes =
-    match t.shards with
-    | None -> (Race.reports t.det.Detector.races, [||])
-    | Some sh ->
-        flush_shards sh;
-        (* shards partition locations, so sorting the concatenated
-           per-shard reports by location is a disjoint merge *)
-        ( Array.to_list sh.races
-          |> List.concat_map Race.reports
-          |> List.sort (fun (a : Race.report) b -> compare a.Race.loc b.Race.loc),
-          Array.copy sh.sizes )
-  in
+  let reports = Race.reports t.det.Detector.races in
   {
     status;
     reports;
     racy_locations = List.map (fun (r : Race.report) -> r.Race.loc) reports;
     events_applied = t.applied;
     accesses = t.accesses;
-    shard_sizes;
     bytes_analyzed = Stream_reader.consumed t.reader;
     queries = t.det.Detector.queries ();
   }
@@ -586,8 +437,8 @@ let close t =
       t.final <- Some v;
       v
 
-let run_file mode path =
-  let t = create mode in
+let run_file det path =
+  let t = create det in
   In_channel.with_open_bin path (fun ic ->
       let buf = Bytes.create 4096 in
       let rec loop () =
@@ -600,3 +451,52 @@ let run_file mode path =
       in
       loop ());
   close t
+
+(* -- sharded replay ------------------------------------------------------ *)
+
+(* Fibonacci multiplicative hash: spreads clustered location ranges (each
+   workload allocates a contiguous block) evenly over the shards. *)
+let shard_of ~loc ~shards =
+  if shards = 1 then 0 else (loc * 0x9E3779B1 land max_int) mod shards
+
+(* [det] checking only the accesses to shard [s]'s locations. *)
+let restrict ~shards s (det : Detector.t) =
+  if shards = 1 then det
+  else
+    let cb = det.Detector.callbacks in
+    let mine loc = shard_of ~loc ~shards = s in
+    let on_read st loc = if mine loc then cb.on_read st loc
+    and on_write st loc = if mine loc then cb.on_write st loc in
+    { det with callbacks = { cb with on_read; on_write } }
+
+let run_sharded ~shards make path =
+  let max = Sfr_runtime.Par_exec.max_workers in
+  if shards < 1 || shards > max then
+    invalid_arg (Printf.sprintf "Stream_replay.run_sharded: shards must be in 1..%d" max);
+  let dets = List.init shards (fun s -> restrict ~shards s (make ())) in
+  let run det = try Ok (run_file det path) with e -> Error e in
+  let replay_on_domain det =
+    Domain.spawn (fun () ->
+        Metrics.domain_enter ();
+        let r = run det in
+        Metrics.domain_exit ();
+        r)
+  in
+  let others = List.map replay_on_domain (List.tl dets) in
+  let first = run (List.hd dets) in
+  let vs =
+    List.map (function Ok v -> v | Error e -> raise e) (first :: List.map Domain.join others)
+  in
+  (* the shards partition the locations, so sorting the concatenated
+     reports by location is a disjoint merge *)
+  let reports =
+    List.concat_map (fun v -> v.reports) vs
+    |> List.stable_sort (fun (a : Race.report) b -> compare a.Race.loc b.Race.loc)
+  in
+  let v = Option.value ~default:(List.hd vs) (List.find_opt (fun v -> v.status <> Complete) vs) in
+  {
+    v with
+    reports;
+    racy_locations = List.map (fun (r : Race.report) -> r.Race.loc) reports;
+    queries = List.fold_left (fun n v -> n + v.queries) 0 vs;
+  }

@@ -2,9 +2,9 @@
     or still arriving.
 
     Every path that applies a log — offline [racedetect replay], with or
-    without [--shards], [racedetect analyze] (into a dag-recording
-    {!Sfr_detect.Naive_detector.trace_detector}), and the [serve]
-    daemon's sessions — runs here.
+    without [--shards] ({!run_sharded}), [racedetect analyze] (into a
+    dag-recording {!Sfr_detect.Naive_detector.trace_detector}), and the
+    [serve] daemon's sessions — runs here.
     The engine keeps a {!Stream_reader}, a state table, and a detector,
     and applies events {e resumably}: feed bytes, {!step} applies every
     event that became ready, and the race report is inspectable at any
@@ -40,26 +40,10 @@
     identical callback sequence — and reports the identical races — as
     the live run.
 
-    Two checking modes ({!mode}):
-    - [Detector d]: accesses are checked inline by [d]'s callbacks,
-      exactly as a live run would. A detector without
-      [supports_parallel] accepts only single-worker logs: a second
-      worker stream latches [Detector_failed] before any of its events
-      is applied.
-    - [Sharded n]: a fresh SF-Order instance replays the structural
-      events (spawn / create / sync / put / get / returned / work),
-      building the reachability structures; access events accumulate in
-      per-shard (location-hash, {!shard_of}) batches — reused arrays of
-      accessor, location and kind — that are checked on
-      [n] domains whenever a batch fills. [Precedes (u, v)] is frozen
-      for every pair of strands already inserted — order maintenance
-      keeps relative order forever and strand future-sets are immutable
-      once published — and shard checks run while the structural merge
-      is paused, so they need no synchronization beyond the join. A
-      location's whole history lands in one shard, checked in merge
-      order, so the merged report (sorted by location) is byte-identical
-      for every shard count and race-for-race identical to a live
-      SF-Order run.
+    Accesses are checked inline by the detector's callbacks, exactly as
+    a live run would. A detector without [supports_parallel] accepts
+    only single-worker logs: a second worker stream latches
+    [Detector_failed] before any of its events is applied.
 
     Nothing here raises on bad input: decode errors, logical
     inconsistencies, and detector failures ({!Sfr_detect.Detect_error})
@@ -89,21 +73,12 @@ type status =
 
 val status_to_string : status -> string
 
-type mode =
-  | Detector of Sfr_detect.Detector.t
-      (** check accesses inline with this fresh detector *)
-  | Sharded of int
-      (** SF-Order structure, accesses checked on this many location
-          shards (1 to {!max_shards}) *)
-
 type verdict = {
   status : status;
   reports : Sfr_detect.Race.report list;  (** sorted by location *)
   racy_locations : int list;
   events_applied : int;
   accesses : int;  (** read/write events among [events_applied] *)
-  shard_sizes : int array;
-      (** accesses per shard ([Sharded] mode; empty otherwise) *)
   bytes_analyzed : int;
       (** absolute prefix fully decoded — "analyzed up to byte N" *)
   queries : int;  (** reachability queries so far *)
@@ -111,14 +86,8 @@ type verdict = {
 
 type t
 
-val max_shards : int
-(** 64: the largest shard count [Sharded] accepts. Each batch flush
-    spawns one domain per extra shard, and OCaml 5 caps a process at
-    128 live domains. *)
-
-val create : mode -> t
-(** @raise Invalid_argument on [Sharded n] with [n < 1] or
-    [n > max_shards], before any domain is spawned. *)
+val create : Sfr_detect.Detector.t -> t
+(** A replay into this fresh detector. *)
 
 val feed : t -> Bytes.t -> pos:int -> len:int -> unit
 (** Buffer incoming stream bytes. Cheap; no detection happens here. *)
@@ -137,16 +106,40 @@ val close : t -> verdict
 
 val partial : t -> verdict
 (** Verdict-so-far without closing (status [Torn (Truncated _)] if the
-    stream were to stop here, unless an error already latched). Sharded
-    mode flushes pending access batches so the report is current. *)
+    stream were to stop here, unless an error already latched). The
+    reports are the detector's so far. *)
 
-val run_file : mode -> string -> verdict
+val run_file : Sfr_detect.Detector.t -> string -> verdict
 (** Offline replay: feed the file in 4 KiB slices, {!step} after each,
     then {!close}. The slices keep the decode buffer and the pending
     queues small; loading the whole file first would not.
     @raise Sys_error only for OS-level failures opening/reading the
     file; every format problem is a typed status. *)
 
+val run_sharded : shards:int -> (unit -> Sfr_detect.Detector.t) -> string -> verdict
+(** [run_sharded ~shards make path]: {!run_file} on [shards] domains,
+    shard 0 on the caller (no domain is spawned for one shard). Each
+    replays the whole log into its own [make ()], whose read and write
+    callbacks skip every location outside the shard's {!shard_of}
+    class. Algorithm 1 checks an access only against its location's
+    history, under reachability that every shard rebuilds alike, so the
+    merged verdict equals [run_file (make ()) path] for every registered
+    detector: reports are concatenated and sorted by location (the
+    classes are disjoint), [queries] is summed, and the status and
+    counters are those of the first shard whose status is not
+    [Complete], else of shard 0. (A detector that fails inside an
+    access check fails only in that location's shard, at the event the
+    inline replay fails at; the other shards' reports then run past
+    it.)
+
+    Each shard decodes the log and rebuilds the structure, so this pays
+    only on logs where access checks dominate, and holds [shards] times
+    the structural memory.
+    @raise Invalid_argument when [shards] is outside
+    [1..]{!Sfr_runtime.Par_exec.max_workers}, before any detector is
+    made or domain spawned.
+    @raise Sys_error as {!run_file}, once every shard has finished. *)
+
 val shard_of : loc:int -> shards:int -> int
-(** The location partition of [Sharded] mode (exposed so tests can pin
+(** The location partition of {!run_sharded} (exposed so tests can pin
     it). *)

@@ -41,10 +41,11 @@ let slot_index () = (Domain.self () :> int) land slot_mask
 (* Two concurrently live domains whose IDs are congruent mod [nslots]
    write the same slot, and their unsynchronized increments can lose
    counts. Cooperating domain pools (the parallel executor's workers, the
-   telemetry sampler, sharded replay) bracket their lifetime with
-   [domain_enter]/[domain_exit]; a slot whose live count exceeds 1 is a
-   real collision and is counted here — once per offending enter, on the
-   cold (per-domain-lifetime) path, so an atomic is fine. *)
+   telemetry sampler, the serve pool, sharded replay's shard domains)
+   bracket their lifetime with [domain_enter]/[domain_exit]; a slot whose
+   live count exceeds 1 is a real collision and is counted here — once
+   per offending enter, on the cold (per-domain-lifetime) path, so an
+   atomic is fine. *)
 let live_in_slot = Array.init nslots (fun _ -> Atomic.make 0)
 let collisions = Atomic.make 0
 

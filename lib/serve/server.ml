@@ -218,7 +218,7 @@ let default_clock () =
   fun () -> (Sfr_obs.Prof.now_ns () - t0) / 1_000_000
 
 let validate (cfg : config) =
-  let s = cfg.session and max = Sfr_eventlog.Stream_replay.max_shards in
+  let s = cfg.session in
   if cfg.global_budget < 1 then Error "global_budget must be >= 1"
   else if cfg.pool_domains < 0 || cfg.pool_domains > Sfr_runtime.Par_exec.max_workers
   then
@@ -226,8 +226,6 @@ let validate (cfg : config) =
       (Printf.sprintf "pool_domains must be in 0..%d"
          Sfr_runtime.Par_exec.max_workers)
   else if s.Session.credit_window < 1 then Error "credit_window must be >= 1"
-  else if s.Session.shards < 1 || s.Session.shards > max then
-    Error (Printf.sprintf "shards must be in 1..%d" max)
   else Ok ()
 
 let create ?now_ms cfg =

@@ -60,8 +60,8 @@ type t
 
 val validate : config -> (unit, string) result
 (** [Error] names the first out-of-range field: [global_budget < 1],
-    [pool_domains] outside [0..]{!Sfr_runtime.Par_exec.max_workers}, a session [credit_window < 1], or session
-    [shards] outside [1..]{!Sfr_eventlog.Stream_replay.max_shards}. *)
+    [pool_domains] outside [0..]{!Sfr_runtime.Par_exec.max_workers}, or a
+    session [credit_window < 1]. *)
 
 val create : ?now_ms:(unit -> int) -> config -> t
 (** [now_ms] defaults to a monotonic wall clock.

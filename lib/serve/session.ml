@@ -34,7 +34,6 @@ type config = {
   credit_window : int;
   deadline_ms : int option;
   idle_ms : int option;
-  shards : int;
 }
 
 let default_config =
@@ -42,7 +41,6 @@ let default_config =
     credit_window = 256 * 1024;
     deadline_ms = None;
     idle_ms = None;
-    shards = 1;
   }
 
 type outcome = {
@@ -100,10 +98,7 @@ let create ~id ~now_ms cfg =
     sid = id;
     cfg;
     decoder = Frame.decoder ();
-    replay =
-      Stream_replay.create
-        (if cfg.shards = 1 then Stream_replay.Detector (Sfr_detect.Sf_order.make ())
-         else Stream_replay.Sharded cfg.shards);
+    replay = Stream_replay.create (Sfr_detect.Sf_order.make ());
     queue = Queue.create ();
     queued = 0;
     credit = 0;

@@ -22,13 +22,10 @@ type config = {
   credit_window : int;  (** max un-ingested DATA bytes per session *)
   deadline_ms : int option;  (** wall-clock budget for the whole session *)
   idle_ms : int option;  (** max quiet gap between frames *)
-  shards : int;
-      (** detection shards: 1 checks accesses inline with SF-Order, more
-          selects {!Sfr_eventlog.Stream_replay.Sharded} *)
 }
 
 val default_config : config
-(** 256 KiB window, no deadline, no idle timeout, 1 shard. *)
+(** 256 KiB window, no deadline, no idle timeout. *)
 
 (** The terminal result of a session, kept server-side even when the
     peer is gone and the verdict frame cannot be delivered. *)

@@ -208,7 +208,7 @@ let test_repro_dump_replays () =
         (Printf.sprintf "chaos-repro-%d.sflog" m.Runner.seed)
         (Filename.basename path);
       let trace, det = Naive_detector.trace_detector () in
-      let v = Stream_replay.run_file (Stream_replay.Detector det) path in
+      let v = Stream_replay.run_file det path in
       check Alcotest.string "repro replays complete" "complete"
         (Stream_replay.status_to_string v.Stream_replay.status);
       let naive =

@@ -58,18 +58,22 @@ let record program =
       let stats = Recorder.close rec_ in
       (stats, read_file path))
 
-(* Replay a log image through the file path the CLI uses. *)
-let replay mode image =
+(* Replay a log image through the file path the CLI uses: [run] is
+   [Stream_replay.run_file det] or a {!sharded} replay. *)
+let replay run image =
   with_temp_log (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
-      Stream_replay.run_file mode path)
+      run path)
+
+let inline () = Stream_replay.run_file (Sf_order.make ())
+let sharded n = Stream_replay.run_sharded ~shards:n (fun () -> Sf_order.make ())
 
 let serial p cb root = ignore (Serial_exec.run cb ~root p)
 
 (* Feed [image] to a fresh inline SF-Order replay in the given slice
    sizes (cycled), stepping after each, then close. *)
 let replay_sliced image slices =
-  let t = Stream_replay.create (Stream_replay.Detector (Sf_order.make ())) in
+  let t = Stream_replay.create (Sf_order.make ()) in
   let len = Bytes.length image in
   let pos = ref 0 and k = ref 0 in
   while !pos < len do
@@ -96,14 +100,14 @@ let live_races base run =
   run det.Detector.callbacks det.Detector.root;
   norm base (Race.reports det.Detector.races)
 
-let replayed_races base mode image =
-  let v = replay mode image in
+let replayed_races base run image =
+  let v = replay run image in
   match v.Stream_replay.status with
   | Stream_replay.Complete -> norm base v.Stream_replay.reports
   | s -> Alcotest.failf "replay failed: %s" (Stream_replay.status_to_string s)
 
 let replay_races base image =
-  replayed_races base (Stream_replay.Detector (Sf_order.make ())) image
+  replayed_races base (inline ()) image
 
 let slist = Alcotest.list Alcotest.string
 
@@ -234,7 +238,7 @@ let record_and_rebuild exec =
         exec (Events.pair tcb rcb) (Events.Pair_state (troot, rroot)))
   in
   let rebuilt, det = Naive_detector.trace_detector () in
-  let v = replay (Stream_replay.Detector det) image in
+  let v = replay (Stream_replay.run_file det) image in
   (v.Stream_replay.status, live, rebuilt)
 
 let naive_racy trace =
@@ -301,27 +305,47 @@ let prop_rebuilt_reachability =
 
 (* -- sharded replay ----------------------------------------------------- *)
 
-let shard_races base log shards =
-  replayed_races base (Stream_replay.Sharded shards) log
+(* Everything a verdict says, as one comparable line. *)
+let verdict_summary (v : Stream_replay.verdict) =
+  Printf.sprintf "%s; %d events, %d accesses, %d queries, %d bytes; races [%s]"
+    (Stream_replay.status_to_string v.Stream_replay.status)
+    v.Stream_replay.events_applied v.Stream_replay.accesses v.Stream_replay.queries
+    v.Stream_replay.bytes_analyzed
+    (String.concat "; " (norm 0 v.Stream_replay.reports))
+  ^ Printf.sprintf "; racy [%s]"
+      (String.concat " " (List.map string_of_int v.Stream_replay.racy_locations))
 
+(* Every registered detector, on serial synthetic logs and on a 2-worker
+   one: a sharded replay's verdict is the inline replay's, at any shard
+   count. A serial-only detector fails the 2-worker log alike. *)
 let test_shard_invariance () =
-  for seed = 1 to 5 do
+  let synth exec seed =
     let t = Synthetic.generate ~seed ~ops:150 ~depth:4 ~locs:6 () in
     let i = Synthetic.instantiate t in
-    let base = i.Synthetic.mem_base in
-    let _, log =
-      record (fun cb root -> serial (fun () -> i.Synthetic.program ()) cb root)
-    in
-    let one = shard_races base log 1 in
-    check slist (Printf.sprintf "seed %d: 2 shards == 1" seed) one
-      (shard_races base log 2);
-    check slist (Printf.sprintf "seed %d: 8 shards == 1" seed) one
-      (shard_races base log 8);
-    (* and the sharded checker agrees with plain replay detection *)
-    check slist
-      (Printf.sprintf "seed %d: sharded == replayed detector" seed)
-      (replay_races base log) one
-  done
+    snd (record (fun cb root -> exec cb root i.Synthetic.program))
+  in
+  let logs =
+    List.init 5 (fun k ->
+        (Printf.sprintf "seed %d" (k + 1), synth (fun cb root p -> serial p cb root) (k + 1)))
+    @ [
+        ( "2-worker seed 6",
+          synth (fun cb root p -> ignore (Par_exec.run ~workers:2 cb ~root p)) 6 );
+      ]
+  in
+  List.iter
+    (fun (e : Sfr_detect.Registry.entry) ->
+      List.iter
+        (fun (name, log) ->
+          let one = verdict_summary (replay (Stream_replay.run_file (e.make ())) log) in
+          List.iter
+            (fun n ->
+              check Alcotest.string
+                (Printf.sprintf "%s, %s: %d shards == inline" e.name name n)
+                one
+                (verdict_summary (replay (Stream_replay.run_sharded ~shards:n e.make) log)))
+            [ 1; 2; 8 ])
+        logs)
+    (Sfr_detect.Registry.all ())
 
 let test_shard_of () =
   check Alcotest.int "1 shard is shard 0" 0 (Stream_replay.shard_of ~loc:12345 ~shards:1);
@@ -336,24 +360,33 @@ let test_shard_of () =
       check Alcotest.bool (Printf.sprintf "shard %d populated" i) true (n > 32))
     hit
 
-(* Out-of-range shard counts are refused by [create], before any shard
-   domain could be spawned; no test here spawns that many. *)
+(* Out-of-range shard counts are refused before any detector is made
+   or domain spawned. The file does not exist, so an accepted count
+   fails only on opening it. *)
 let test_shard_count_bounds () =
-  let rejects n =
-    match Stream_replay.create (Stream_replay.Sharded n) with
-    | _ -> false
-    | exception Invalid_argument _ -> true
+  let outcome ?(make = fun () -> Alcotest.fail "a detector was made") n =
+    match Stream_replay.run_sharded ~shards:n make "/nonexistent/x.sflog" with
+    | _ -> "ran"
+    | exception Invalid_argument _ -> "rejected"
+    | exception Sys_error _ -> "opened"
   in
-  check Alcotest.bool "0 shards rejected" true (rejects 0);
-  check Alcotest.bool "max_shards + 1 rejected" true
-    (rejects (Stream_replay.max_shards + 1));
-  check Alcotest.bool "max_shards accepted" false
-    (rejects Stream_replay.max_shards)
+  check Alcotest.string "0 shards" "rejected" (outcome 0);
+  check Alcotest.string "max_workers + 1 shards" "rejected"
+    (outcome (Par_exec.max_workers + 1));
+  check Alcotest.string "1 shard" "opened" (outcome ~make:(fun () -> Sf_order.make ()) 1)
 
 (* -- malformed logs ----------------------------------------------------- *)
 
+(* A malformed log's status, which a 2-shard replay must repeat. *)
+let status_of name bytes =
+  let v = replay (inline ()) bytes in
+  check Alcotest.string (name ^ ": sharded status")
+    (Stream_replay.status_to_string v.Stream_replay.status)
+    (Stream_replay.status_to_string (replay (sharded 2) bytes).Stream_replay.status);
+  v.Stream_replay.status
+
 let expect_error name bytes pred =
-  match (replay (Stream_replay.Detector (Sf_order.make ())) bytes).status with
+  match status_of name bytes with
   | Stream_replay.Complete -> Alcotest.failf "%s: accepted a malformed log" name
   | Stream_replay.Torn e ->
       check Alcotest.bool
@@ -477,7 +510,19 @@ let test_crafted_corruption () =
     (craft_log ~payload:(Buffer.to_bytes p) ~events:1 ~states:1 ~workers:1)
     (function
       | Log_format.Corrupt _ -> true
-      | _ -> false)
+      | _ -> false);
+  (* CRC-clean but logically broken: a state nothing defines, and a
+     state defined twice *)
+  let inconsistent name evs ~states =
+    let p = Buffer.create 8 in
+    ignore (List.fold_left (fun last ev -> Log_format.write_event p ~last_loc:last ev) 0 evs);
+    let img = craft_log ~payload:(Buffer.to_bytes p) ~events:(List.length evs) ~states ~workers:1 in
+    match status_of name img with
+    | Stream_replay.Inconsistent _ -> ()
+    | st -> Alcotest.failf "%s: %s" name (Stream_replay.status_to_string st)
+  in
+  inconsistent "stuck" [ Log_format.Write { cur = 2; loc = 7 } ] ~states:3;
+  inconsistent "redefined" [ Log_format.Spawn { cur = 0; child = 0; cont = 1 } ] ~states:2
 
 (* Two worker streams whose file order puts a join ahead of the joined
    strand's last access. The merge must hold the join until the strand
@@ -503,8 +548,8 @@ let test_join_waits_for_end () =
   let expect_clean name ~parent ~child =
     let image = image ~parent ~child in
     List.iter
-      (fun mode -> check slist name [] (replayed_races 0 mode image))
-      [ Stream_replay.Detector (Sf_order.make ()); Stream_replay.Sharded 2 ]
+      (fun run -> check slist name [] (replayed_races 0 run image))
+      [ inline (); sharded 2 ]
   in
   let spawn_parent =
     [
@@ -520,7 +565,7 @@ let test_join_waits_for_end () =
   (* a serial-only detector refuses the second worker stream *)
   (match
      (replay
-        (Stream_replay.Detector (Sfr_detect.Multibags.make ()))
+        (Stream_replay.run_file (Sfr_detect.Multibags.make ()))
         (image ~parent:spawn_parent ~child:spawn_child))
        .Stream_replay.status
    with
@@ -625,10 +670,10 @@ let test_far_locations () =
       [ far (-5); far 3 ] v.Stream_replay.racy_locations
   in
   let det = (Option.get (Sfr_detect.Registry.find "sf-order")).Sfr_detect.Registry.make () in
-  expect "inline" (Stream_replay.Detector det);
+  expect "inline" (Stream_replay.run_file det);
   check Alcotest.bool "inline history words bounded" true (det.Detector.history_words () < 50_000);
   let top = (Gc.quick_stat ()).Gc.top_heap_words in
-  expect "sharded" (Stream_replay.Sharded 2);
+  expect "sharded" (sharded 2);
   check Alcotest.bool "sharded replay heap bounded" true
     ((Gc.quick_stat ()).Gc.top_heap_words - top < 1_000_000)
 
@@ -927,9 +972,7 @@ let test_chaos_torn_logs () =
               incr faulted;
               true
         in
-        let v =
-          Stream_replay.run_file (Stream_replay.Detector (Sf_order.make ())) path
-        in
+        let v = inline () path in
         match v.Stream_replay.status with
         | Stream_replay.Complete ->
             check Alcotest.bool "complete log is complete" false torn;

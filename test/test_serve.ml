@@ -20,7 +20,6 @@
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
-module Stream_replay = Sfr_eventlog.Stream_replay
 module Serial_exec = Sfr_runtime.Serial_exec
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry
@@ -144,10 +143,6 @@ let test_create_validates_session () =
     | exception Invalid_argument _ -> true
   in
   let d = Session.default_config in
-  check Alcotest.bool "shards = 0 rejected" true
-    (rejects { d with shards = 0 });
-  check Alcotest.bool "shards above the replay maximum rejected" true
-    (rejects { d with shards = Stream_replay.max_shards + 1 });
   check Alcotest.bool "credit_window = 0 rejected" true
     (rejects { d with credit_window = 0 });
   check Alcotest.bool "defaults accepted" false (rejects d)
@@ -368,28 +363,6 @@ let test_stream_matches_offline () =
         [ false; true ])
     Registry.all
 
-(* The sw log at small scale carries enough accesses to cross several
-   8192-access shard flushes. *)
-let test_stream_matches_offline_sharded () =
-  let image, base, offline, stats =
-    workload_image ~scale:Workload.Small "sw" ~inject_race:true
-  in
-  let accesses =
-    let r = Stream_replay.create (Stream_replay.Sharded 4) in
-    Stream_replay.feed r image ~pos:0 ~len:(Bytes.length image);
-    (Stream_replay.close r).Stream_replay.accesses
-  in
-  check Alcotest.bool "log spans >= 3 shard batches" true
-    (accesses >= 3 * 8192);
-  let session = { Session.default_config with shards = 4 } in
-  with_server (mk_cfg ~session ()) (fun server ->
-      let c = Loopback.connect server in
-      Loopback.run_log ~chaos:false c image;
-      let o = outcome_exn server (sid_of c) in
-      check tcode "sharded code" (expect_code offline) o.Session.code;
-      check slist "sharded reports" offline (norm base o.Session.reports);
-      check Alcotest.int "sharded events" stats.Recorder.events o.Session.events)
-
 (* -- every-prefix sweep ------------------------------------------------- *)
 
 (* A stream cut at any byte and abandoned: clean partial verdict or a
@@ -491,6 +464,132 @@ let test_huge_state_id () =
         max (s1.Gc.heap_words - s0.Gc.heap_words) (s1.Gc.top_heap_words - s0.Gc.top_heap_words)
       in
       check Alcotest.bool (Printf.sprintf "heap grew %d words" grown) true (grown < 1 lsl 18))
+
+(* -- mutated client streams ----------------------------------------------- *)
+
+(* A real session's client bytes: HELLO, the log in DATA frames of
+   [frame] bytes, CLOSE. *)
+let client_bytes ?(frame = 1024) image =
+  let b = Buffer.create (Bytes.length image + 64) in
+  Frame.encode b (Frame.Hello { version = Frame.protocol_version });
+  let n = Bytes.length image in
+  let rec data pos =
+    if pos < n then begin
+      let len = min frame (n - pos) in
+      Frame.encode b (Frame.Data (Bytes.sub image pos len));
+      data (pos + len)
+    end
+  in
+  data 0;
+  Frame.encode b Frame.Close;
+  Buffer.to_bytes b
+
+let client_corpus =
+  lazy
+    (let synth, _, _, _ = synth_image ~seed:5 ~ops:120 in
+     let mm, _, _, _ = workload_image "mm" ~inject_race:false in
+     [| client_bytes synth; client_bytes ~frame:300 mm |])
+
+(* Positions are drawn independently of the input and reduced modulo
+   its length when applied. *)
+type wire_mutation =
+  | Flip of { pos : int; bit : int }
+  | Overlong of { pos : int }  (** 11 continuation bytes inserted *)
+  | Length of { pos : int; len : int }
+      (** a DATA header declaring [len] bytes (up to just past the
+          decoder's 4 MiB [max_frame]) inserted *)
+  | Truncate of { len : int }
+  | Splice of { other : int; at : int; from : int }
+      (** a prefix of the input, then a suffix of another corpus stream *)
+
+let insert img at s =
+  let at = at mod (Bytes.length img + 1) in
+  Bytes.concat Bytes.empty
+    [ Bytes.sub img 0 at; Bytes.of_string s; Bytes.sub img at (Bytes.length img - at) ]
+
+let mutate_wire corpus img = function
+  | Flip _ when Bytes.length img = 0 -> img
+  | Flip { pos; bit } ->
+      let b = Bytes.copy img and i = pos mod Bytes.length img in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      b
+  | Overlong { pos } -> insert img pos (String.make 11 '\xFF')
+  | Length { pos; len } ->
+      let h = Buffer.create 8 in
+      Buffer.add_char h '\x02';
+      Log_format.write_varint h len;
+      insert img pos (Buffer.contents h)
+  | Truncate { len } -> Bytes.sub img 0 (len mod (Bytes.length img + 1))
+  | Splice { other; at; from } ->
+      let o = corpus.(other mod Array.length corpus) in
+      let at = at mod (Bytes.length img + 1) and from = from mod (Bytes.length o + 1) in
+      Bytes.cat (Bytes.sub img 0 at) (Bytes.sub o from (Bytes.length o - from))
+
+let show_wire_mutation = function
+  | Flip { pos; bit } -> Printf.sprintf "flip %d.%d" pos bit
+  | Overlong { pos } -> Printf.sprintf "overlong @%d" pos
+  | Length { pos; len } -> Printf.sprintf "length %d @%d" len pos
+  | Truncate { len } -> Printf.sprintf "truncate %d" len
+  | Splice { other; at; from } -> Printf.sprintf "splice %d @%d from %d" other at from
+
+let gen_wire_mutation =
+  let open QCheck2.Gen in
+  let pos = int_bound 1_000_000 in
+  oneof
+    [
+      map2 (fun pos bit -> Flip { pos; bit }) pos (int_bound 7);
+      map (fun pos -> Overlong { pos }) pos;
+      map2
+        (fun pos len -> Length { pos; len })
+        pos
+        (oneof [ int_bound 64; int_range 0 ((4 * 1024 * 1024) + 16) ]);
+      map (fun len -> Truncate { len }) pos;
+      map3 (fun other at from -> Splice { other; at; from }) small_nat pos pos;
+    ]
+
+(* Fed to a session in slices of 1 B to 8 KiB, ingesting as it goes,
+   every mutated stream ends in a typed reply or is still streaming
+   (then a disconnect settles it), never in an exception; the heap
+   grows at most in proportion to the bytes fed. *)
+let prop_session_bounded =
+  QCheck2.Test.make ~name:"mutated client bytes: typed reply, heap bounded by input"
+    ~count:300
+    ~print:(fun (base, ms, slices) ->
+      Printf.sprintf "stream %d, [%s], slices [%s]" base
+        (String.concat "; " (List.map show_wire_mutation ms))
+        (String.concat " " (Array.to_list (Array.map string_of_int slices))))
+    QCheck2.Gen.(
+      triple small_nat
+        (list_size (int_range 1 3) gen_wire_mutation)
+        (array_size (int_range 1 16) (oneof [ int_range 1 16; int_range 1 8192 ])))
+    (fun (base, ms, slices) ->
+      let corpus = Lazy.force client_corpus in
+      let img =
+        List.fold_left (mutate_wire corpus) corpus.(base mod Array.length corpus) ms
+      in
+      let s0 = Gc.quick_stat () in
+      let t = Session.create ~id:1 ~now_ms:0 Session.default_config in
+      let len = Bytes.length img in
+      let pos = ref 0 and k = ref 0 in
+      while !pos < len && not (Session.finished t) do
+        let n = min slices.(!k mod Array.length slices) (len - !pos) in
+        ignore (Session.on_bytes t ~now_ms:0 img ~pos:!pos ~len:n);
+        if Session.needs_ingest t then ignore (Session.ingest t);
+        pos := !pos + n;
+        incr k
+      done;
+      let typed = Session.outcome t <> None in
+      if Session.finished t && not typed then
+        QCheck2.Test.fail_report "finished without an outcome";
+      if not (Session.finished t) then ignore (Session.on_disconnect t);
+      let s1 = Gc.quick_stat () in
+      let grown =
+        max (s1.Gc.heap_words - s0.Gc.heap_words) (s1.Gc.top_heap_words - s0.Gc.top_heap_words)
+      in
+      (Session.outcome t <> None || Session.admin_only t
+      || QCheck2.Test.fail_report "disconnect left no outcome")
+      && (grown <= (64 * len) + (1 lsl 20)
+         || QCheck2.Test.fail_reportf "%d-byte input grew the heap by %d words" len grown))
 
 (* -- credit window ------------------------------------------------------ *)
 
@@ -888,8 +987,6 @@ let () =
       ( "verdicts",
         [
           Alcotest.test_case "stream == offline" `Quick test_stream_matches_offline;
-          Alcotest.test_case "stream == offline (sharded)" `Quick
-            test_stream_matches_offline_sharded;
         ] );
       ( "robustness",
         [
@@ -898,6 +995,7 @@ let () =
           Alcotest.test_case "huge state id" `Quick test_huge_state_id;
           Alcotest.test_case "backpressure bounds" `Quick test_backpressure_bounds;
           Alcotest.test_case "late credit is waited for" `Quick test_late_credit;
+          QCheck_alcotest.to_alcotest prop_session_bounded;
         ] );
       ( "overload",
         [

@@ -109,11 +109,9 @@ let test_registry_caps () =
   in
   check bool "multibags is serial" false (caps "multibags").Registry.supports_parallel;
   check bool "multibags is oracle-grade" true (caps "multibags").Registry.oracle_grade;
-  check bool "sf-order is shardable" true (caps "sf-order").Registry.shardable;
   check bool "sf-order is a figure column" true (caps "sf-order").Registry.figure;
   check bool "vc-order runs parallel" true (caps "vc-order").Registry.supports_parallel;
   check bool "vc-order is oracle-grade" true (caps "vc-order").Registry.oracle_grade;
-  check bool "vc-order is not shardable" false (caps "vc-order").Registry.shardable;
   check bool "vc-order is not a figure column" false (caps "vc-order").Registry.figure
 
 let test_registry_listing () =
@@ -146,7 +144,6 @@ let test_registry_register () =
         {
           Registry.supports_parallel = true;
           oracle_grade = false;
-          shardable = false;
           figure = false;
           scale_ceiling = None;
         };
@@ -430,10 +427,7 @@ let test_replay_vc () =
         inst.Synthetic.mem_base
       in
       let det = Vc_order.make () in
-      (match
-         (Stream_replay.run_file (Stream_replay.Detector det) path)
-           .Stream_replay.status
-       with
+      (match (Stream_replay.run_file det path).Stream_replay.status with
       | Stream_replay.Complete -> ()
       | s -> Alcotest.failf "replay failed: %s" (Stream_replay.status_to_string s));
       let replayed =
