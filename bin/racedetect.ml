@@ -124,20 +124,6 @@ let sinks_term ~trace_doc ~telemetry_doc =
         { Sfr_obs.Telemetry.trace_out; telemetry_out; sample_ms })
     $ trace_out $ telemetry_out $ sample_ms)
 
-(* A registry entry may cap the workload scale it is practical at. *)
-let check_scale_ceiling (e : Detectors.entry) scale =
-  match e.Detectors.caps.Detectors.scale_ceiling with
-  | None -> ()
-  | Some c -> (
-      match Workload.scale_of_string c with
-      | Some ceiling when scale <= ceiling -> ()
-      | Some _ ->
-          Printf.eprintf
-            "detector %s is capped at scale %s (registry scale ceiling)\n%s"
-            e.Detectors.name c (Detectors.listing ());
-          exit 2
-      | None -> ())
-
 let scale_conv =
   Arg.conv
     ( (fun s ->
@@ -268,7 +254,6 @@ let run_cmd =
         Printf.eprintf "unknown workload %S (try: racedetect list)\n" workload;
         exit 2
     | Some w ->
-        check_scale_ceiling entry scale;
         let inst = w.Workload.instantiate ~inject_race:inject scale in
         let det = entry.Detectors.make () in
         if executor = `Parallel && not det.Detector.supports_parallel then begin

@@ -29,7 +29,7 @@ type 'a policy =
 
 type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
 
-(* Fibonacci multiplicative mixing for stripe / write-cache selection.
+(* Fibonacci multiplicative mixing for stripe selection.
    Raw low bits ([loc land (stripes-1)]) alias every strided access
    pattern whose stride shares a factor with the stripe count — a
    power-of-two matrix row maps an entire column onto ONE stripe and
@@ -70,80 +70,74 @@ and 'a inline = {
 }
 
 type 'a cell = {
-  mutable writer : 'a option;
+  mutable writer : 'a; (* [none] until the first write: no box to install *)
   mutable readers : 'a readers;
   mutable nreaders : int;
 }
 
 (* [`Lockfree] cell: the writer and a Treiber stack of readers *)
 type 'a lf_cell = {
-  lf_writer : 'a option Atomic.t;
+  lf_writer : 'a Atomic.t;
   lf_readers : 'a list Atomic.t;
   lf_count : int Atomic.t; (* approximate reader count *)
 }
-
-(* Last-writer filter: a direct-mapped cache of (location, accessor)
-   pairs, one immutable pair record per slot so a racy read can never
-   observe a torn pair. A hit means "this strand installed itself as
-   [loc]'s writer and no later access to [loc] has gone through the
-   history", so the write can skip the whole lock/evict/install cycle —
-   the race check against the previous writer (itself) still runs, so
-   the query count does not depend on the filter. Any read or foreign
-   write to [loc] invalidates the slot (a plain store; the benign-race
-   argument is in the .mli). *)
-type 'a wentry = { w_loc : int; w_acc : 'a }
-
-let wcache_bits = 11
-let wcache_size = 1 lsl wcache_bits
 
 (* 64 stripe locks under [`Mutex] *)
 let stripe_log = 6
 
 (* [stripes] is [||] under [`Unsynchronized]: no lock is taken *)
 type 'a repr =
-  | Striped of {
-      cells : 'a cell Loc_table.t;
-      stripes : Mutex.t array;
-      wcache : 'a wentry option array;
-    }
+  | Striped of { cells : 'a cell Loc_table.t; stripes : Mutex.t array }
   | Lf of 'a lf_cell Loc_table.t
 
-type 'a t = { policy : 'a policy; repr : 'a repr; max_readers : int Atomic.t }
+type 'a t = {
+  policy : 'a policy;
+  repr : 'a repr;
+  none : 'a;
+  check : 'a -> 'a -> int -> Race.kind -> unit;
+  max_readers : int Atomic.t;
+}
 
 let empty_readers = function
   | Keep_all -> R_inline { slots = [||]; n = 0; spill = [] }
   | Lr_per_future _ -> R_lr (Hashtbl.create 4)
 
-let create ~(sync : sync_mode) policy =
+let create ~(sync : sync_mode) ~none ~check policy =
   let repr =
     match (sync, policy) with
     | ((`Mutex | `Unsynchronized) as s), _ ->
-        let new_cell () = { writer = None; readers = empty_readers policy; nreaders = 0 } in
+        let new_cell () = { writer = none; readers = empty_readers policy; nreaders = 0 } in
         Striped
           {
             cells = Loc_table.create ~dummy:(new_cell ()) new_cell;
             stripes =
               (if s = `Mutex then Array.init (1 lsl stripe_log) (fun _ -> Mutex.create ())
                else [||]);
-            wcache = Array.make wcache_size None;
           }
     | `Lockfree, Keep_all ->
         let new_cell () =
-          { lf_writer = Atomic.make None; lf_readers = Atomic.make []; lf_count = Atomic.make 0 }
+          { lf_writer = Atomic.make none; lf_readers = Atomic.make []; lf_count = Atomic.make 0 }
         in
         Lf (Loc_table.create ~dummy:(new_cell ()) new_cell)
     | `Lockfree, Lr_per_future _ ->
         Detect_error.unsupported ~detector:"Access_history"
           ~feature:"`Lockfree with Lr_per_future (requires Keep_all)"
   in
-  { policy; repr; max_readers = Atomic.make 0 }
+  { policy; repr; none; check; max_readers = Atomic.make 0 }
 
-let note_high_water t n =
-  let rec loop () =
-    let m = Atomic.get t.max_readers in
-    if n > m && not (Atomic.compare_and_set t.max_readers m n) then loop ()
-  in
-  loop ()
+(* The access paths below are top-level functions of their arguments,
+   not local closures, so an access allocates nothing but a new
+   reader's cons (under [`Lockfree], or past the inline slots). *)
+let rec note_high_water t n =
+  let m = Atomic.get t.max_readers in
+  if n > m && not (Atomic.compare_and_set t.max_readers m n) then note_high_water t n
+
+(* [check] every reader of [rs] against the writing [cur] *)
+let rec check_readers t cur loc = function
+  | [] -> ()
+  | r :: rs ->
+      t.check r cur loc Race.Read_write;
+      check_readers t cur loc rs
 
 (* -- striped paths ------------------------------------------------------ *)
 
@@ -166,22 +160,9 @@ let inline_push r accessor =
   end
   else r.spill <- accessor :: r.spill
 
-let inline_iter_newest_first r f =
-  List.iter f r.spill;
-  for i = r.n - 1 downto 0 do
-    f r.slots.(i)
-  done
-
-let inline_reset r =
-  r.n <- 0;
-  r.spill <- []
-
-(* [f] on [loc]'s cell, inside its stripe's critical section when
-   [stripes] is non-empty; the cell lookup itself never locks *)
-let with_cell cells stripes loc f =
-  let cell = Loc_table.get cells loc in
-  if Array.length stripes = 0 then f cell
-  else begin
+(* [loc]'s stripe critical section, when [stripes] is non-empty *)
+let lock stripes loc =
+  if Array.length stripes > 0 then begin
     let mu = stripes.(mix_bits loc stripe_log) in
     (* perturb-only site: widens the window between an accessor reaching
        the history and publishing into it *)
@@ -190,161 +171,150 @@ let with_cell cells stripes loc f =
     if not (Mutex.try_lock mu) then begin
       Metrics.incr m_lock_contended;
       Mutex.lock mu
-    end;
-    let result = f cell in
-    Mutex.unlock mu;
-    result
+    end
   end
 
-let wcache_hit wcache loc accessor =
-  match wcache.(mix_bits loc wcache_bits) with
-  | Some e -> e.w_loc = loc && e.w_acc == accessor
-  | None -> false
+let unlock stripes loc =
+  if Array.length stripes > 0 then Mutex.unlock stripes.(mix_bits loc stripe_log)
 
-let striped_read t cells stripes wcache ~loc ~accessor ~check_writer =
-  wcache.(mix_bits loc wcache_bits) <- None;
-  with_cell cells stripes loc (fun cell ->
-      (match cell.writer with Some w -> check_writer w | None -> ());
-      (match (t.policy, cell.readers) with
-      | Keep_all, R_inline r ->
-          (* collapse consecutive reads by the same strand *)
-          if not (inline_last_is r accessor) then begin
-            inline_push r accessor;
-            cell.nreaders <- cell.nreaders + 1;
-            Metrics.incr m_readers_insert
+let striped_read t cells stripes ~loc ~accessor =
+  let cell = Loc_table.get cells loc in
+  lock stripes loc;
+  if cell.writer != t.none then t.check cell.writer accessor loc Race.Write_read;
+  (match (t.policy, cell.readers) with
+  | Keep_all, R_inline r ->
+      (* collapse consecutive reads by the same strand *)
+      if not (inline_last_is r accessor) then begin
+        inline_push r accessor;
+        cell.nreaders <- cell.nreaders + 1;
+        Metrics.incr m_readers_insert
+      end
+  | Lr_per_future { future_of; more_left; more_right; covers }, R_lr tbl -> (
+      let f = future_of accessor in
+      match Hashtbl.find_opt tbl f with
+      | None ->
+          Hashtbl.add tbl f (accessor, accessor);
+          cell.nreaders <- cell.nreaders + 2;
+          Metrics.add m_readers_insert 2
+      | Some (l, r) ->
+          if covers l accessor && covers r accessor then begin
+            (* both stored readers precede the new one: it supersedes *)
+            Hashtbl.replace tbl f (accessor, accessor);
+            Metrics.add m_readers_evict (if l == r then 1 else 2);
+            Metrics.add m_readers_insert 2
           end
-      | Lr_per_future { future_of; more_left; more_right; covers }, R_lr tbl -> (
-          let f = future_of accessor in
-          match Hashtbl.find_opt tbl f with
-          | None ->
-              Hashtbl.add tbl f (accessor, accessor);
-              cell.nreaders <- cell.nreaders + 2;
-              Metrics.add m_readers_insert 2
-          | Some (l, r) ->
-              if covers l accessor && covers r accessor then begin
-                (* both stored readers precede the new one: it supersedes *)
-                Hashtbl.replace tbl f (accessor, accessor);
-                Metrics.add m_readers_evict (if l == r then 1 else 2);
-                Metrics.add m_readers_insert 2
-              end
-              else begin
-                let l' = if more_left accessor l then accessor else l in
-                let r' = if more_right accessor r then accessor else r in
-                if l' != l || r' != r then begin
-                  let changed = (if l' != l then 1 else 0) + if r' != r then 1 else 0 in
-                  Metrics.add m_readers_evict changed;
-                  Metrics.add m_readers_insert changed
-                end;
-                Hashtbl.replace tbl f (l', r')
-              end)
-      | Keep_all, R_lr _ | Lr_per_future _, R_inline _ -> assert false);
-      note_high_water t cell.nreaders)
+          else begin
+            let l' = if more_left accessor l then accessor else l in
+            let r' = if more_right accessor r then accessor else r in
+            if l' != l || r' != r then begin
+              let changed = (if l' != l then 1 else 0) + if r' != r then 1 else 0 in
+              Metrics.add m_readers_evict changed;
+              Metrics.add m_readers_insert changed
+            end;
+            Hashtbl.replace tbl f (l', r')
+          end)
+  | Keep_all, R_lr _ | Lr_per_future _, R_inline _ -> assert false);
+  note_high_water t cell.nreaders;
+  unlock stripes loc
 
-let striped_write t cells stripes wcache ~loc ~accessor ~check =
-  if wcache_hit wcache loc accessor then begin
-    (* consecutive same-strand write: this strand is already the
-       installed writer and no reader registered since — re-installing
-       would evict nothing and change nothing. Run the writer-vs-writer
-       check anyway (the query count must not depend on the filter),
-       then skip lock and evict. *)
+let striped_write t cells stripes ~loc ~accessor =
+  let cell = Loc_table.get cells loc in
+  if cell.writer == accessor && cell.nreaders = 0 then begin
+    (* last-writer filter: this strand is already the installed writer
+       and no reader registered since — re-installing would evict
+       nothing and change nothing. The cell is read without the stripe
+       lock (see the .mli for why a stale read is sound). Run the
+       writer-vs-writer check anyway (the query count must not depend on
+       the filter), then skip lock and evict. *)
     Metrics.incr m_write_fast;
-    check ~prev:accessor ~prev_is_writer:true
+    t.check accessor accessor loc Race.Write_write
   end
   else begin
-    with_cell cells stripes loc (fun cell ->
-        (match cell.writer with
-        | Some w -> check ~prev:w ~prev_is_writer:true
-        | None -> ());
-        (match cell.readers with
-        | R_inline r ->
-            inline_iter_newest_first r (fun x ->
-                check ~prev:x ~prev_is_writer:false);
-            inline_reset r
-        | R_lr tbl ->
-            Hashtbl.iter
-              (fun _ (l, r) ->
-                check ~prev:l ~prev_is_writer:false;
-                if r != l then check ~prev:r ~prev_is_writer:false)
-              tbl);
-        Metrics.add m_readers_evict cell.nreaders;
-        (match cell.readers with
-        | R_inline _ -> () (* reset in place: the slots array is reused *)
-        | R_lr _ -> cell.readers <- empty_readers t.policy);
-        cell.nreaders <- 0;
-        cell.writer <- Some accessor);
-    wcache.(mix_bits loc wcache_bits) <- Some { w_loc = loc; w_acc = accessor }
+    lock stripes loc;
+    if cell.writer != t.none then t.check cell.writer accessor loc Race.Write_write;
+    (match cell.readers with
+    | R_inline r ->
+        check_readers t accessor loc r.spill;
+        for i = r.n - 1 downto 0 do
+          t.check r.slots.(i) accessor loc Race.Read_write
+        done;
+        (* reset in place: the slots array is reused *)
+        r.n <- 0;
+        r.spill <- []
+    | R_lr tbl ->
+        Hashtbl.iter
+          (fun _ (l, r) ->
+            t.check l accessor loc Race.Read_write;
+            if r != l then t.check r accessor loc Race.Read_write)
+          tbl;
+        cell.readers <- empty_readers t.policy);
+    Metrics.add m_readers_evict cell.nreaders;
+    cell.nreaders <- 0;
+    cell.writer <- accessor;
+    unlock stripes loc
   end
 
 (* -- lock-free paths ----------------------------------------------------- *)
 
-let lf_read t cells ~loc ~accessor ~check_writer =
+(* push [accessor] onto [cell]'s reader stack unless it is already the
+   newest reader *)
+let rec lf_push t cell accessor =
+  let rs = Atomic.get cell.lf_readers in
+  let same_strand = match rs with r :: _ -> r == accessor | [] -> false in
+  if not same_strand then
+    if Atomic.compare_and_set cell.lf_readers rs (accessor :: rs) then begin
+      Metrics.incr m_readers_insert;
+      note_high_water t (1 + Atomic.fetch_and_add cell.lf_count 1)
+    end
+    else begin
+      Metrics.incr m_cas_retry;
+      lf_push t cell accessor
+    end
+
+let lf_read t cells ~loc ~accessor =
   let cell = Loc_table.get cells loc in
   Chaos.point Chaos.Lock_acquire;
   (* publish the reader first, then validate against the current writer:
      a concurrent writer either drains this reader or was installed
      before our validation read (see the .mli completeness note) *)
-  let rec push () =
-    let rs = Atomic.get cell.lf_readers in
-    let same_strand = match rs with r :: _ -> r == accessor | [] -> false in
-    if not same_strand then
-      if Atomic.compare_and_set cell.lf_readers rs (accessor :: rs) then begin
-        Metrics.incr m_readers_insert;
-        let n = 1 + Atomic.fetch_and_add cell.lf_count 1 in
-        note_high_water t n
-      end
-      else begin
-        Metrics.incr m_cas_retry;
-        push ()
-      end
-  in
-  push ();
-  match Atomic.get cell.lf_writer with
-  | Some w -> check_writer w
-  | None -> ()
+  lf_push t cell accessor;
+  let w = Atomic.get cell.lf_writer in
+  if w != t.none then t.check w accessor loc Race.Write_read
 
-let lf_write cells ~loc ~accessor ~check =
+let lf_write t cells ~loc ~accessor =
   let cell = Loc_table.get cells loc in
   Chaos.point Chaos.Lock_acquire;
-  let same_writer =
-    (match Atomic.get cell.lf_writer with
-       | Some w -> w == accessor
-       | None -> false)
-    && Atomic.get cell.lf_readers == []
-  in
-  if same_writer then begin
+  if Atomic.get cell.lf_writer == accessor && Atomic.get cell.lf_readers == [] then begin
     (* last-writer filter, lock-free flavor: skip both exchanges — the
        reader stack stays untouched, so concurrent readers don't retry
        their CAS against this write's drain. The writer-vs-writer check
        still runs, so the query count does not depend on the filter. *)
     Metrics.incr m_write_fast;
-    check ~prev:accessor ~prev_is_writer:true
+    t.check accessor accessor loc Race.Write_write
   end
   else begin
-    (match Atomic.exchange cell.lf_writer (Some accessor) with
-    | Some w -> check ~prev:w ~prev_is_writer:true
-    | None -> ());
+    let w = Atomic.exchange cell.lf_writer accessor in
+    if w != t.none then t.check w accessor loc Race.Write_write;
     let rs = Atomic.exchange cell.lf_readers [] in
     Atomic.set cell.lf_count 0;
     Metrics.add m_readers_evict (List.length rs);
-    List.iter (fun r -> check ~prev:r ~prev_is_writer:false) rs
+    check_readers t accessor loc rs
   end
 
 (* -- dispatch ------------------------------------------------------------ *)
 
-let on_read t ~loc ~accessor ~check_writer =
+let on_read t ~loc ~accessor =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped { cells; stripes; wcache } ->
-      striped_read t cells stripes wcache ~loc ~accessor ~check_writer
-  | Lf cells -> lf_read t cells ~loc ~accessor ~check_writer);
+  | Striped { cells; stripes } -> striped_read t cells stripes ~loc ~accessor
+  | Lf cells -> lf_read t cells ~loc ~accessor);
   Prof.stop t_read t0
 
-let on_write t ~loc ~accessor ~check =
+let on_write t ~loc ~accessor =
   let t0 = Prof.start () in
   (match t.repr with
-  | Striped { cells; stripes; wcache } ->
-      striped_write t cells stripes wcache ~loc ~accessor ~check
-  | Lf cells -> lf_write cells ~loc ~accessor ~check);
+  | Striped { cells; stripes } -> striped_write t cells stripes ~loc ~accessor
+  | Lf cells -> lf_write t cells ~loc ~accessor);
   Prof.stop t_write t0
 
 (* -- statistics ----------------------------------------------------------- *)
@@ -364,7 +334,7 @@ let max_readers_at_once t = Atomic.get t.max_readers
 
 let words t =
   match t.repr with
-  | Striped { cells; stripes; wcache } ->
+  | Striped { cells; stripes } ->
       Loc_table.fold
         (fun acc c ->
           acc + 4
@@ -372,7 +342,7 @@ let words t =
           match c.readers with
           | R_inline r -> 6 + Array.length r.slots + (3 * List.length r.spill)
           | R_lr tbl -> 5 * Hashtbl.length tbl)
-        (Loc_table.words cells + (3 * Array.length stripes) + Array.length wcache)
+        (Loc_table.words cells + (3 * Array.length stripes))
         cells
   | Lf cells ->
       Loc_table.fold

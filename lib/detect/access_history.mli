@@ -42,32 +42,39 @@
 
     {2 Hot paths}
 
-    Three optimizations sit on the access path; none of them changes a
-    race report or a query count:
+    Four properties of the access path; none of them changes a race
+    report or a query count:
 
+    - {b One check, fixed at creation}: the race check is the [~check]
+      function given to {!create}, called as [check prev cur loc kind];
+      no access builds a closure. Writer slots hold the accessor itself,
+      with the [none] sentinel for "no write yet". A [Keep_all] access
+      allocates nothing beyond a new reader's cons cell (3 words; under
+      [`Lockfree], or past the inline slots), a cell's first inline-slot
+      array and the table page of a first-touched location.
     - {b Last-writer filter}: a write whose strand is already the
       installed writer for the location — and with no reader registered
       since — skips the evict/install cycle; only the writer-vs-writer
       race check runs, so the query count does not depend on the filter.
-      [`Mutex] and [`Unsynchronized] find such writes in a direct-mapped
-      cache of (location, accessor) pairs, which saves the stripe lock;
-      [`Lockfree] reads the cell's writer and reader stack directly. The
-      cache is read without synchronization; this is sound because a hit
-      can only be stale if some other access to the location has gone
-      through the locked path since this strand's write installed itself
-      — and that access was then checked against this strand's installed
-      write, so the pair was already examined. Reads and foreign writes
-      invalidate the slot. Counted by [history.write.fastpath].
+      Every mode finds such writes by reading the location's own cell:
+      its writer slot and its reader count (reader stack under
+      [`Lockfree]), with no lock and no atomic write. A stale read is
+      sound: a stale
+      "same writer, no readers" can only follow some other access to the
+      location that went through the locked path after this strand's
+      write installed itself — and that access was checked against this
+      strand's installed write, so the pair was already examined.
+      Counted by [history.write.fastpath].
     - {b Inline readers}: under [Keep_all] in [`Mutex] and
       [`Unsynchronized], the first 8 readers of each write epoch live in
       a mutable array reused across epochs — the common case allocates
       no cons cell per read — spilling to a list past 8. Eviction
       iterates newest first, the order of [`Lockfree]'s reader stack, so
       first-race attribution does not depend on the mode.
-    - {b Mixed stripe hashing}: stripe (and cache-slot) selection
-      multiplies the location by the golden-ratio constant and takes the
-      high bits, so power-of-two strided access patterns spread across
-      stripes instead of serializing on one lock. *)
+    - {b Mixed stripe hashing}: stripe selection multiplies the location
+      by the golden-ratio constant and takes the high bits, so
+      power-of-two strided access patterns spread across stripes instead
+      of serializing on one lock. *)
 
 type 'a policy =
   | Keep_all
@@ -87,18 +94,24 @@ type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
 
 type 'a t
 
-val create : sync:sync_mode -> 'a policy -> 'a t
+val create :
+  sync:sync_mode -> none:'a -> check:('a -> 'a -> int -> Race.kind -> unit) -> 'a policy -> 'a t
 (** [~sync] has no default here: each detector's [?history] decides it.
+    [check prev cur loc kind] is the race check: [prev] is the stored
+    access, [cur] the current accessor and [kind] names the pair
+    ([Write_read] on a read against the stored writer, [Write_write] and
+    [Read_write] on a write). [none] fills the writer slot of a location
+    no write has reached; it must never be physically equal to an
+    accessor, and [check] is never called on it.
     @raise Invalid_argument for [`Lockfree] with [Lr_per_future]. *)
 
-val on_read : 'a t -> loc:int -> accessor:'a -> check_writer:('a -> unit) -> unit
-(** Calls [check_writer] on the stored last writer (if any), then records
-    the reader per policy. *)
+val on_read : 'a t -> loc:int -> accessor:'a -> unit
+(** Checks the stored last writer (if any), then records the reader per
+    policy. *)
 
-val on_write :
-  'a t -> loc:int -> accessor:'a -> check:(prev:'a -> prev_is_writer:bool -> unit) -> unit
-(** Calls [check] on the stored writer and on every stored reader, then
-    clears the readers and installs the new writer. *)
+val on_write : 'a t -> loc:int -> accessor:'a -> unit
+(** Checks the stored writer and every stored reader, then clears the
+    readers and installs the new writer. *)
 
 (** The statistics below read cells without their locks: call them once
     the accessing domains have quiesced. *)

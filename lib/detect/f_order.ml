@@ -59,7 +59,16 @@ let make ?(history = `Lockfree) () =
       r
     end
   in
-  let history = Access_history.create ~sync:history Access_history.Keep_all in
+  (* the history's one race check, on a stored and the current access;
+     its [none] is a strand no access ever carries *)
+  let check (prev : strand) (cur : strand) loc kind =
+    if not (precedes prev cur) then
+      Race.report races ~loc ~kind ~prev_future:prev.fid ~cur_future:cur.fid
+  in
+  let root = { pos = root_pos; block = None; fid = 0; nsp = Exit_map.empty eng } in
+  let history =
+    Access_history.create ~sync:history ~none:{ root with fid = -1 } ~check Access_history.Keep_all
+  in
   let metrics = Detector.metrics_since_creation () in
   let callbacks =
     {
@@ -107,28 +116,16 @@ let make ?(history = `Lockfree) () =
           Fo { pos; block = cur.block; fid = cur.fid; nsp });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read =
-        (fun state loc ->
-          let v = as_fo state in
-          Access_history.on_read history ~loc ~accessor:v ~check_writer:(fun w ->
-              if not (precedes w v) then
-                Race.report races ~loc ~kind:Race.Write_read ~prev_future:w.fid
-                  ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_read history ~loc ~accessor:(as_fo state));
       on_write =
-        (fun state loc ->
-          let v = as_fo state in
-          Access_history.on_write history ~loc ~accessor:v
-            ~check:(fun ~prev ~prev_is_writer ->
-              if not (precedes prev v) then
-                Race.report races ~loc
-                  ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-                  ~prev_future:prev.fid ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_write history ~loc ~accessor:(as_fo state));
       on_work = (fun _ _ -> ());
     }
   in
   {
     Detector.name = "f-order";
     callbacks;
-    root = Fo { pos = root_pos; block = None; fid = 0; nsp = Exit_map.empty eng };
+    root = Fo root;
     races;
     queries = (fun () -> Atomic.get queries);
     reach_words = (fun () -> Sp_order.words spo + Exit_map.live_words eng);

@@ -62,7 +62,17 @@ let make () =
       r
     end
   in
-  let history = Access_history.create ~sync:`Unsynchronized Access_history.Keep_all in
+  (* the history's one race check, on a stored and the current access;
+     its [none] is a strand no access ever carries *)
+  let check (prev : strand) (cur : strand) loc kind =
+    if not (precedes prev cur) then
+      Race.report races ~loc ~kind ~prev_future:prev.fid ~cur_future:cur.fid
+  in
+  let root = { frame = root_frame; fid = 0; depth = 0; gp = Fp_sets.empty eng } in
+  let history =
+    Access_history.create ~sync:`Unsynchronized ~none:{ root with fid = -1 } ~check
+      Access_history.Keep_all
+  in
   let metrics = Detector.metrics_since_creation () in
   let callbacks =
     {
@@ -104,28 +114,16 @@ let make () =
           let cont = as_mb cont and child_last = as_mb child_last in
           Sp_bags.child_returned bags ~parent:cont.frame ~child:child_last.frame);
       on_read =
-        (fun state loc ->
-          let v = as_mb state in
-          Access_history.on_read history ~loc ~accessor:v ~check_writer:(fun w ->
-              if not (precedes w v) then
-                Race.report races ~loc ~kind:Race.Write_read ~prev_future:w.fid
-                  ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_read history ~loc ~accessor:(as_mb state));
       on_write =
-        (fun state loc ->
-          let v = as_mb state in
-          Access_history.on_write history ~loc ~accessor:v
-            ~check:(fun ~prev ~prev_is_writer ->
-              if not (precedes prev v) then
-                Race.report races ~loc
-                  ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-                  ~prev_future:prev.fid ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_write history ~loc ~accessor:(as_mb state));
       on_work = (fun _ _ -> ());
     }
   in
   {
     Detector.name = "multibags";
     callbacks;
-    root = Mb { frame = root_frame; fid = 0; depth = 0; gp = Fp_sets.empty eng };
+    root = Mb root;
     races;
     queries = (fun () -> !queries);
     reach_words =

@@ -2,7 +2,6 @@ type caps = {
   supports_parallel : bool;
   oracle_grade : bool;
   figure : bool;
-  scale_ceiling : string option;
 }
 
 type entry = {
@@ -32,8 +31,7 @@ let register e =
 let caps_string c =
   String.concat ","
     ((if c.supports_parallel then [ "parallel" ] else [ "serial" ])
-    @ (if c.oracle_grade then [ "oracle" ] else [])
-    @ match c.scale_ceiling with Some s -> [ "<=" ^ s ] | None -> [])
+    @ if c.oracle_grade then [ "oracle" ] else [])
 
 let listing () =
   let b = Buffer.create 256 in
@@ -63,7 +61,6 @@ let () =
           supports_parallel = false;
           oracle_grade = true;
           figure = true;
-          scale_ceiling = None;
         };
     };
   register
@@ -77,7 +74,6 @@ let () =
           supports_parallel = true;
           oracle_grade = false;
           figure = true;
-          scale_ceiling = None;
         };
     };
   register
@@ -91,7 +87,6 @@ let () =
           supports_parallel = true;
           oracle_grade = false;
           figure = true;
-          scale_ceiling = None;
         };
     };
   register
@@ -105,7 +100,6 @@ let () =
           supports_parallel = true;
           oracle_grade = false;
           figure = false;
-          scale_ceiling = None;
         };
     };
   register
@@ -119,6 +113,5 @@ let () =
           supports_parallel = true;
           oracle_grade = true;
           figure = false;
-          scale_ceiling = None;
         };
     }

@@ -22,9 +22,6 @@ type caps = {
       (** an independent algorithm whose serial run is usable as
           differential ground truth (chaos [--oracle]). *)
   figure : bool;  (** appears in the paper-reproduction figure tables. *)
-  scale_ceiling : string option;
-      (** largest {!Sfr_workloads.Workload.scale} name the detector is
-          practical at; [None] = unbounded. *)
 }
 
 type entry = {

@@ -107,7 +107,14 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
             covers = (fun a b -> a == b || Sp_order.precedes spo a.pos b.pos);
           }
   in
-  let history = Access_history.create ~sync:history policy in
+  (* the history's one race check, on a stored and the current access;
+     its [none] is a strand no access ever carries *)
+  let check (prev : strand) (cur : strand) loc kind =
+    if not (precedes prev cur) then
+      Race.report races ~loc ~kind ~prev_future:prev.fid ~cur_future:cur.fid
+  in
+  let root = { pos = root_pos; block = None; fid = 0; depth = 0; gp = Fp_sets.empty eng } in
+  let history = Access_history.create ~sync:history ~none:{ root with fid = -1 } ~check policy in
   let metrics = Detector.metrics_since_creation () in
   let callbacks =
     {
@@ -152,28 +159,16 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?history () =
           Sf { cur with pos; gp });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read =
-        (fun state loc ->
-          let v = as_sf state in
-          Access_history.on_read history ~loc ~accessor:v ~check_writer:(fun w ->
-              if not (precedes w v) then
-                Race.report races ~loc ~kind:Race.Write_read ~prev_future:w.fid
-                  ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_read history ~loc ~accessor:(as_sf state));
       on_write =
-        (fun state loc ->
-          let v = as_sf state in
-          Access_history.on_write history ~loc ~accessor:v
-            ~check:(fun ~prev ~prev_is_writer ->
-              if not (precedes prev v) then
-                Race.report races ~loc
-                  ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-                  ~prev_future:prev.fid ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_write history ~loc ~accessor:(as_sf state));
       on_work = (fun _ _ -> ());
     }
   in
   ( {
     Detector.name = "sf-order";
     callbacks;
-    root = Sf { pos = root_pos; block = None; fid = 0; depth = 0; gp = Fp_sets.empty eng };
+    root = Sf root;
     races;
     queries = query_total;
     reach_words =

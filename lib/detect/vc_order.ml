@@ -118,7 +118,16 @@ let make ?(history = `Lockfree) () =
     Prof.stop t_q t0;
     r
   in
-  let history = Access_history.create ~sync:history Access_history.Keep_all in
+  (* the history's one race check, on a stored and the current access;
+     its [none] is a strand no access ever carries *)
+  let check (prev : strand) (cur : strand) loc kind =
+    if not (precedes prev cur) then
+      Race.report races ~loc ~kind ~prev_future:prev.fid ~cur_future:cur.fid
+  in
+  let root = { tid = 0; tick = 1; vc = [| 1 |]; fid = 0; pool = [] } in
+  let history =
+    Access_history.create ~sync:history ~none:{ root with fid = -1 } ~check Access_history.Keep_all
+  in
   let metrics = Detector.metrics_since_creation () in
   (* begin a child task: its snapshot is the parent's plus its own slot
      at its first tick; the parent's continuation self-ticks so accesses
@@ -187,28 +196,16 @@ let make ?(history = `Lockfree) () =
           Vc { cur with tick = cur.tick + 1; vc });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read =
-        (fun state loc ->
-          let v = as_vc state in
-          Access_history.on_read history ~loc ~accessor:v ~check_writer:(fun w ->
-              if not (precedes w v) then
-                Race.report races ~loc ~kind:Race.Write_read ~prev_future:w.fid
-                  ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_read history ~loc ~accessor:(as_vc state));
       on_write =
-        (fun state loc ->
-          let v = as_vc state in
-          Access_history.on_write history ~loc ~accessor:v
-            ~check:(fun ~prev ~prev_is_writer ->
-              if not (precedes prev v) then
-                Race.report races ~loc
-                  ~kind:(if prev_is_writer then Race.Write_write else Race.Read_write)
-                  ~prev_future:prev.fid ~cur_future:v.fid));
+        (fun state loc -> Access_history.on_write history ~loc ~accessor:(as_vc state));
       on_work = (fun _ _ -> ());
     }
   in
   {
     Detector.name = "vc-order";
     callbacks;
-    root = Vc { tid = 0; tick = 1; vc = [| 1 |]; fid = 0; pool = [] };
+    root = Vc root;
     races;
     queries = query_total;
     (* one word per allocated slot: the clock width every live strand's

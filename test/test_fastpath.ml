@@ -2,8 +2,9 @@
    access-history write filter + inline readers + mixed stripe hashing).
 
    The two history implementations check each other: [`Mutex] keeps its
-   readers inline with a direct-mapped write cache in front, [`Lockfree]
-   keeps a plain newest-first reader list and no cache. Under a serial
+   readers inline in a cell under a stripe lock, [`Lockfree] keeps a
+   plain newest-first reader stack in a cell of atomics; both run the
+   last-writer filter on an unlocked read of the cell. Under a serial
    execution they must be observationally identical — byte-identical race
    reports (location, kind, attributed futures, witness count), identical
    reachability-query totals, and the identical reader high-water mark —
@@ -124,7 +125,7 @@ let test_parallel_differential () =
   done
 
 (* chaos-perturbed schedules stress the publication paths (chunk installs,
-   write-cache invalidation, lock-free drains) without injecting faults:
+   unlocked last-writer reads, lock-free drains) without injecting faults:
    the race set must still match the serial run's *)
 let test_chaos_parallel () =
   for seed = 1 to 4 do
@@ -277,6 +278,51 @@ let test_write_fastpath_counter () =
       check int (hname ^ ": queries") 198 (det.Detector.queries ()))
     histories
 
+(* Two locations that shared a slot of the retired 2,048-entry write
+   cache (equal stripe-mix bits [mix_bits loc 11]): alternating writes
+   to them evicted each other there, so each write took the locked path.
+   The filter now reads the location's own cell, so both take the fast
+   path under the striped modes too, with [`Lockfree]'s reports and
+   queries. A spawned child then races the continuation on one of them. *)
+let test_write_fastpath_aliasing () =
+  let module P = Sfr_runtime.Program in
+  let slot loc = (loc * 0x1E37_79B9_7F4A_7C15) lsr (Sys.int_size - 11) in
+  let a = P.alloc 2049 0 in
+  let first = Hashtbl.create 2049 in
+  let rec collide k =
+    let s = slot (P.base a + k) in
+    match Hashtbl.find_opt first s with
+    | Some i -> (i, k)
+    | None ->
+        Hashtbl.add first s k;
+        collide (k + 1)
+  in
+  let i, j = collide 0 in
+  let prog () =
+    for _ = 1 to 100 do
+      P.wr a i 1;
+      P.wr a j 1
+    done;
+    P.spawn (fun () -> P.wr a i 2);
+    P.wr a j 2;
+    P.wr a i 3;
+    P.sync ()
+  in
+  let run history =
+    let det = Sf_order.make ~history () in
+    let o = run_full ~base:(P.base a) det prog in
+    (o, metric det "history.write.fastpath")
+  in
+  let lockfree, _ = run `Lockfree in
+  check int "one racy location" 1 (List.length lockfree.o_reports);
+  check int "lockfree queries" 201 lockfree.o_queries;
+  List.iter
+    (fun (history, hname) ->
+      let o, fast = run history in
+      check int (hname ^ ": aliased writes take the fast path") 198 fast;
+      check outcome (hname ^ ": reports and queries = lockfree") lockfree o)
+    [ (`Mutex, "mutex"); (`Unsynchronized, "unsynchronized") ]
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -300,5 +346,7 @@ let () =
             test_cp_deep_then_wide;
           Alcotest.test_case "write fastpath counter" `Quick
             test_write_fastpath_counter;
+          Alcotest.test_case "write fastpath aliasing" `Quick
+            test_write_fastpath_aliasing;
         ] );
     ]

@@ -10,47 +10,60 @@ module Events = Sfr_runtime.Events
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let float = Alcotest.float
 
 (* ------------------------------------------------------------------ *)
 (* Access history — Keep_all                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A history whose create-time check logs each call's stored access and
+   whether that access was a write; [take log] returns the calls since
+   the last [take], oldest first. *)
+let logged ~none sync policy =
+  let log = ref [] in
+  let check prev _cur _loc kind = log := (prev, kind <> Race.Read_write) :: !log in
+  (Access_history.create ~sync ~none ~check policy, log)
+
+let take log =
+  let calls = List.rev !log in
+  log := [];
+  calls
+
 (* toy accessors: integers compared by a fake "dag order" where a < b
-   means a precedes b *)
+   means a precedes b; -1 is no accessor *)
 let test_keepall_writer_checked_on_read () =
-  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
-  let seen = ref [] in
-  Access_history.on_write h ~loc:0 ~accessor:1 ~check:(fun ~prev:_ ~prev_is_writer:_ -> ());
-  Access_history.on_read h ~loc:0 ~accessor:2 ~check_writer:(fun w -> seen := w :: !seen);
-  check (Alcotest.list int) "read checked against last writer" [ 1 ] !seen;
+  let h, log = logged ~none:(-1) `Mutex Access_history.Keep_all in
+  Access_history.on_write h ~loc:0 ~accessor:1;
+  ignore (take log);
+  Access_history.on_read h ~loc:0 ~accessor:2;
+  check (Alcotest.list int) "read checked against last writer" [ 1 ]
+    (List.map fst (take log));
   (* a different location is independent *)
-  let seen2 = ref [] in
-  Access_history.on_read h ~loc:1 ~accessor:3 ~check_writer:(fun w -> seen2 := w :: !seen2);
-  check (Alcotest.list int) "fresh location has no writer" [] !seen2
+  Access_history.on_read h ~loc:1 ~accessor:3;
+  check (Alcotest.list int) "fresh location has no writer" [] (List.map fst (take log))
 
 let test_keepall_write_checks_all_readers () =
-  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
+  let h, log = logged ~none:(-1) `Mutex Access_history.Keep_all in
+  List.iter (fun r -> Access_history.on_read h ~loc:7 ~accessor:r) [ 10; 20; 30 ];
+  ignore (take log);
+  Access_history.on_write h ~loc:7 ~accessor:99;
+  let checked = take log in
   List.iter
-    (fun r -> Access_history.on_read h ~loc:7 ~accessor:r ~check_writer:(fun _ -> ()))
-    [ 10; 20; 30 ];
-  let checked = ref [] in
-  Access_history.on_write h ~loc:7 ~accessor:99 ~check:(fun ~prev ~prev_is_writer ->
-      check bool "readers are not writers" false prev_is_writer;
-      checked := prev :: !checked);
+    (fun (_, prev_is_writer) -> check bool "readers are not writers" false prev_is_writer)
+    checked;
   check (Alcotest.list int) "all readers checked" [ 10; 20; 30 ]
-    (List.sort compare !checked);
+    (List.sort compare (List.map fst checked));
   (* readers were cleared; next write checks only the last writer *)
-  let checked2 = ref [] in
-  Access_history.on_write h ~loc:7 ~accessor:100 ~check:(fun ~prev ~prev_is_writer ->
-      check bool "now a writer" true prev_is_writer;
-      checked2 := prev :: !checked2);
-  check (Alcotest.list int) "only the writer remains" [ 99 ] !checked2
+  Access_history.on_write h ~loc:7 ~accessor:100;
+  let checked2 = take log in
+  List.iter (fun (_, prev_is_writer) -> check bool "now a writer" true prev_is_writer) checked2;
+  check (Alcotest.list int) "only the writer remains" [ 99 ] (List.map fst checked2)
 
 let test_keepall_same_strand_collapse () =
-  let h = Access_history.create ~sync:`Mutex Access_history.Keep_all in
+  let h, _ = logged ~none:(-1) `Mutex Access_history.Keep_all in
   let accessor = 42 in
   for _ = 1 to 100 do
-    Access_history.on_read h ~loc:0 ~accessor ~check_writer:(fun _ -> ())
+    Access_history.on_read h ~loc:0 ~accessor
   done;
   check int "consecutive same-strand reads collapse" 1
     (Access_history.readers_stored h);
@@ -63,6 +76,8 @@ let test_keepall_same_strand_collapse () =
 (* accessors: (future, eng, heb) triples; covers = both orders less *)
 type acc = { f : int; eng : int; heb : int }
 
+let no_acc = { f = -1; eng = -1; heb = -1 }
+
 let lr_policy =
   Access_history.Lr_per_future
     {
@@ -73,44 +88,33 @@ let lr_policy =
     }
 
 let test_lr_two_per_future () =
-  let h = Access_history.create ~sync:`Mutex lr_policy in
+  let h, log = logged ~none:no_acc `Mutex lr_policy in
   (* five pairwise-parallel readers in one future: eng ascending, heb
      descending *)
   for i = 1 to 5 do
-    Access_history.on_read h ~loc:0
-      ~accessor:{ f = 3; eng = i; heb = 6 - i }
-      ~check_writer:(fun _ -> ())
+    Access_history.on_read h ~loc:0 ~accessor:{ f = 3; eng = i; heb = 6 - i }
   done;
   check int "at most two stored" 2 (Access_history.readers_stored h);
-  let checked = ref [] in
-  Access_history.on_write h ~loc:0 ~accessor:{ f = 0; eng = 100; heb = 100 }
-    ~check:(fun ~prev ~prev_is_writer:_ -> checked := prev :: !checked);
+  Access_history.on_write h ~loc:0 ~accessor:{ f = 0; eng = 100; heb = 100 };
+  let checked = List.map fst (take log) in
   (* the two extremes survive: (eng 1, heb 5) and (eng 5, heb 1) *)
-  let engs = List.sort compare (List.map (fun a -> a.eng) !checked) in
+  let engs = List.sort compare (List.map (fun a -> a.eng) checked) in
   check (Alcotest.list int) "extremes kept" [ 1; 5 ] engs
 
 let test_lr_covered_replacement () =
-  let h = Access_history.create ~sync:`Mutex lr_policy in
+  let h, log = logged ~none:no_acc `Mutex lr_policy in
   (* serial chain: each reader covers the previous; only the last stays *)
   for i = 1 to 5 do
-    Access_history.on_read h ~loc:0
-      ~accessor:{ f = 1; eng = i; heb = i }
-      ~check_writer:(fun _ -> ())
+    Access_history.on_read h ~loc:0 ~accessor:{ f = 1; eng = i; heb = i }
   done;
-  let checked = ref [] in
-  Access_history.on_write h ~loc:0 ~accessor:{ f = 0; eng = 10; heb = 10 }
-    ~check:(fun ~prev ~prev_is_writer:_ -> checked := prev :: !checked);
-  let uniq = List.sort_uniq compare (List.map (fun a -> a.eng) !checked) in
+  Access_history.on_write h ~loc:0 ~accessor:{ f = 0; eng = 10; heb = 10 };
+  let checked = List.map fst (take log) in
+  let uniq = List.sort_uniq compare (List.map (fun a -> a.eng) checked) in
   check (Alcotest.list int) "only the covering reader remains" [ 5 ] uniq
 
 let test_lr_per_future_isolation () =
-  let h = Access_history.create ~sync:`Mutex lr_policy in
-  List.iter
-    (fun f ->
-      Access_history.on_read h ~loc:0
-        ~accessor:{ f; eng = f; heb = f }
-        ~check_writer:(fun _ -> ()))
-    [ 1; 2; 3 ];
+  let h, _ = logged ~none:no_acc `Mutex lr_policy in
+  List.iter (fun f -> Access_history.on_read h ~loc:0 ~accessor:{ f; eng = f; heb = f }) [ 1; 2; 3 ];
   (* one (doubled) slot per future *)
   check int "2 per future" 6 (Access_history.readers_stored h)
 
@@ -129,17 +133,14 @@ let mode_loc_gen =
 let mode_ops_gen =
   QCheck2.Gen.(list_size (int_bound 300) (triple bool mode_loc_gen (int_range 0 5)))
 
-let run_mode sync policy ops =
-  let h = Access_history.create ~sync policy in
+let run_mode ~none sync policy ops =
   let log = ref [] in
+  let check prev cur loc kind = log := (loc, cur, prev, kind <> Race.Read_write) :: !log in
+  let h = Access_history.create ~sync ~none ~check policy in
   List.iter
     (fun (is_write, loc, accessor) ->
-      if is_write then
-        Access_history.on_write h ~loc ~accessor ~check:(fun ~prev ~prev_is_writer ->
-            log := (loc, accessor, prev, prev_is_writer) :: !log)
-      else
-        Access_history.on_read h ~loc ~accessor ~check_writer:(fun w ->
-            log := (loc, accessor, w, true) :: !log))
+      if is_write then Access_history.on_write h ~loc ~accessor
+      else Access_history.on_read h ~loc ~accessor)
     ops;
   ( List.rev !log,
     Access_history.locations_tracked h,
@@ -148,8 +149,8 @@ let run_mode sync policy ops =
 
 (* Reference model of [Keep_all], independent of every mode's storage:
    per location a writer option and a newest-first reader list, with
-   consecutive same-strand reads collapsed, no write cache and no paged
-   table. Same result shape as [run_mode]. *)
+   consecutive same-strand reads collapsed and no paged table. Same
+   result shape as [run_mode]. *)
 let run_keep_all_model ops =
   let cells = Hashtbl.create 16 in
   let log = ref [] and high = ref 0 in
@@ -183,7 +184,7 @@ let prop_modes_agree =
     mode_ops_gen (fun ops ->
       let reference = run_keep_all_model ops in
       List.for_all
-        (fun sync -> run_mode sync Access_history.Keep_all ops = reference)
+        (fun sync -> run_mode ~none:(-1) sync Access_history.Keep_all ops = reference)
         [ `Mutex; `Unsynchronized; `Lockfree ])
 
 (* [Lr_per_future] (the [sf-order-2pf] policy) runs under the two striped
@@ -200,7 +201,97 @@ let lr_ops_gen =
 let prop_lr_modes_agree =
   QCheck2.Test.make ~name:"mutex and unsynchronized agree on Lr_per_future" ~count:200
     lr_ops_gen (fun ops ->
-      run_mode `Mutex lr_policy ops = run_mode `Unsynchronized lr_policy ops)
+      run_mode ~none:no_acc `Mutex lr_policy ops
+      = run_mode ~none:no_acc `Unsynchronized lr_policy ops)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per access                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words [f ()] allocates. [w0] stays unboxed, and the result is
+   boxed only after the second read, so the probe itself counts 0. *)
+let words_in f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* total minor words of [n] calls [f i], each measured alone, so the
+   set-up between calls is not counted *)
+let words_over n f =
+  let total = ref 0. in
+  for i = 1 to n do
+    let call () = f i in
+    total := !total +. words_in call
+  done;
+  !total
+
+let sync_names = [ (`Mutex, "mutex"); (`Unsynchronized, "unsynchronized"); (`Lockfree, "lockfree") ]
+
+(* Under [Keep_all], with boxed accessors from a fixed pool: re-writes,
+   writer changes, repeated same-strand reads and write-after-read
+   allocate nothing; a new reader costs at most its 3-word cons. *)
+let test_keepall_alloc_pins () =
+  check (float 0.) "probe allocates nothing" 0. (words_in (fun () -> ()));
+  let pool = Array.init 4 (fun i -> { f = i; eng = i; heb = i }) in
+  List.iter
+    (fun (sync, name) ->
+      let calls = ref 0 in
+      let h =
+        Access_history.create ~sync ~none:no_acc
+          ~check:(fun _ _ _ _ -> incr calls)
+          Access_history.Keep_all
+      in
+      let write loc a () = Access_history.on_write h ~loc ~accessor:pool.(a) in
+      let read loc a () = Access_history.on_read h ~loc ~accessor:pool.(a) in
+      (* first touches: table pages, a cell's inline slots *)
+      List.iter (fun loc -> write loc 0 (); read loc 0 (); write loc 0 ()) [ 0; 1; 2; 3 ];
+      let pin what n f =
+        check (float 0.) (Printf.sprintf "%s: %s allocate nothing" name what) 0.
+          (words_over n f)
+      in
+      pin "repeated writes" 1000 (fun _ -> write 0 0 ());
+      pin "writer changes" 1000 (fun i -> write 1 (i land 1) ());
+      read 2 1 ();
+      pin "same-strand reads" 1000 (fun _ -> read 2 1 ());
+      (* the read before each write is a new reader: set up outside *)
+      let wr_after_read = ref 0. in
+      for i = 1 to 1000 do
+        read 3 (2 + (i land 1)) ();
+        wr_after_read := !wr_after_read +. words_in (write 3 (i land 1))
+      done;
+      check (float 0.) (name ^ ": write-after-read allocates nothing") 0. !wr_after_read;
+      (* alternating readers, never collapsed: each one is new *)
+      let per_reader = words_over 1000 (fun i -> read 0 (2 + (i land 1)) ()) /. 1000. in
+      check bool
+        (Printf.sprintf "%s: %.2f words per new reader <= 3" name per_reader)
+        true (per_reader <= 3.);
+      check bool (name ^ ": checks ran") true (!calls > 4000))
+    sync_names
+
+(* Live SF-Order on sort: what detection adds to a structure-only run of
+   the same detector (no-op [on_read]/[on_write]), per access. *)
+let test_sf_order_alloc_pin () =
+  let sort = Option.get (Sfr_workloads.Registry.find "sort") in
+  let program () = (sort.instantiate Sfr_workloads.Workload.Small).program in
+  let accesses = ref 0 in
+  let tick _ _ = incr accesses in
+  ignore
+    (Sfr_runtime.Serial_exec.run
+       { Events.null with on_read = tick; on_write = tick }
+       ~root:Events.Unit_state (program ()));
+  let run_words strip =
+    let det = Sfr_detect.Sf_order.make () in
+    let cb = det.Sfr_detect.Detector.callbacks in
+    let cb =
+      if strip then { cb with on_read = (fun _ _ -> ()); on_write = (fun _ _ -> ()) } else cb
+    in
+    let prog = program () in
+    words_in (fun () ->
+        ignore (Sfr_runtime.Serial_exec.run cb ~root:det.Sfr_detect.Detector.root prog))
+  in
+  let per = (run_words false -. run_words true) /. float_of_int !accesses in
+  check bool "many accesses" true (!accesses > 10_000);
+  check bool (Printf.sprintf "%.2f minor words per access <= 4" per) true (per <= 4.)
 
 (* ------------------------------------------------------------------ *)
 (* Race collector                                                       *)
@@ -361,6 +452,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_modes_agree;
           QCheck_alcotest.to_alcotest prop_lr_modes_agree;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "keep-all access pins" `Quick test_keepall_alloc_pins;
+          Alcotest.test_case "live sf-order on sort" `Quick test_sf_order_alloc_pin;
         ] );
       ( "race_collector",
         [

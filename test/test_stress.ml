@@ -138,8 +138,17 @@ let test_om_concurrent_inserts () =
 (* ------------------------------------------------------------------ *)
 
 let test_lockfree_history_stress () =
-  let h = Access_history.create ~sync:`Lockfree Access_history.Keep_all in
   let checks = Atomic.make 0 in
+  (* location 999 is touched only after the domains join: its checks are
+     serial and recorded *)
+  let seen = ref [] in
+  let check_pair prev _cur loc _kind =
+    Atomic.incr checks;
+    if loc = 999 then seen := prev :: !seen
+  in
+  let h =
+    Access_history.create ~sync:`Lockfree ~none:(-1) ~check:check_pair Access_history.Keep_all
+  in
   let domains =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
@@ -147,10 +156,7 @@ let test_lockfree_history_stress () =
               let loc = i mod 32 in
               if (i + d) mod 4 = 0 then
                 Access_history.on_write h ~loc ~accessor:(d * 100_000 + i)
-                  ~check:(fun ~prev:_ ~prev_is_writer:_ -> Atomic.incr checks)
-              else
-                Access_history.on_read h ~loc ~accessor:(d * 100_000 + i)
-                  ~check_writer:(fun _ -> Atomic.incr checks)
+              else Access_history.on_read h ~loc ~accessor:(d * 100_000 + i)
             done))
   in
   List.iter Domain.join domains;
@@ -158,23 +164,23 @@ let test_lockfree_history_stress () =
   check int "locations tracked" 32 (Access_history.locations_tracked h);
   (* the completeness skeleton: after a quiescent write, a later read must
      be checked against it *)
-  Access_history.on_write h ~loc:999 ~accessor:1 ~check:(fun ~prev:_ ~prev_is_writer:_ -> ());
-  let seen = ref [] in
-  Access_history.on_read h ~loc:999 ~accessor:2 ~check_writer:(fun w -> seen := w :: !seen);
+  Access_history.on_write h ~loc:999 ~accessor:1;
+  Access_history.on_read h ~loc:999 ~accessor:2;
   check (Alcotest.list int) "writer visible to later reader" [ 1 ] !seen
 
 let test_lockfree_sparse_locations () =
   (* far-apart locations in the paged table *)
-  let h = Access_history.create ~sync:`Lockfree Access_history.Keep_all in
+  let seen = ref [] in
+  let h =
+    Access_history.create ~sync:`Lockfree ~none:(-1)
+      ~check:(fun prev _ _ _ -> seen := prev :: !seen)
+      Access_history.Keep_all
+  in
   List.iter
-    (fun loc ->
-      Access_history.on_write h ~loc ~accessor:loc
-        ~check:(fun ~prev:_ ~prev_is_writer:_ -> ()))
+    (fun loc -> Access_history.on_write h ~loc ~accessor:loc)
     [ 0; 1_000; 50_000; 200_000 ];
   check int "four cells" 4 (Access_history.locations_tracked h);
-  let seen = ref [] in
-  Access_history.on_read h ~loc:200_000 ~accessor:7
-    ~check_writer:(fun w -> seen := w :: !seen);
+  Access_history.on_read h ~loc:200_000 ~accessor:7;
   check (Alcotest.list int) "far cell intact" [ 200_000 ] !seen
 
 (* Memory stays proportional to the locations touched whatever order
@@ -212,7 +218,8 @@ let test_lockfree_rejects_lr () =
           }))
     (fun () ->
       ignore
-        (Access_history.create ~sync:`Lockfree
+        (Access_history.create ~sync:`Lockfree ~none:(-1)
+           ~check:(fun _ _ _ _ -> ())
            (Access_history.Lr_per_future
               {
                 future_of = (fun (_ : int) -> 0);

@@ -145,7 +145,6 @@ let test_registry_register () =
           Registry.supports_parallel = true;
           oracle_grade = false;
           figure = false;
-          scale_ceiling = None;
         };
     }
   in
