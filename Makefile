@@ -45,7 +45,7 @@ examples:
 # Record mm and sw, replay each inline and with 1 and 4 shards, and
 # require the whole stdout to be byte-identical (--shards N is N
 # location-filtered replays of the same log). Then replay mm under a
-# second registry detector (vc-order): its races and query count
+# second registry detector (f-order): its races and query count
 # (stdout from line 2 on) must match sf-order's, and its 4-shard stdout
 # must match its inline one.
 replay-smoke:
@@ -58,12 +58,12 @@ replay-smoke:
 	    diff /tmp/$$w.out /tmp/$$w.s$$n.out && echo "$$w: inline and $$n-shard stdout identical"; \
 	  done; \
 	  if [ $$w = mm ]; then \
-	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order > /tmp/mm.vc.out; \
-	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d vc-order --shards 4 > /tmp/mm.vc4.out; \
-	    diff /tmp/mm.vc.out /tmp/mm.vc4.out && echo "mm: vc-order inline and 4-shard stdout identical"; \
-	    tail -n +2 /tmp/mm.out > /tmp/mm.sf.tail; tail -n +2 /tmp/mm.vc.out > /tmp/mm.vc.tail; \
-	    diff /tmp/mm.sf.tail /tmp/mm.vc.tail && echo "mm: vc-order and sf-order replay reports identical"; \
-	    rm -f /tmp/mm.vc.out /tmp/mm.vc4.out /tmp/mm.sf.tail /tmp/mm.vc.tail; \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d f-order > /tmp/mm.f.out; \
+	    dune exec bin/racedetect.exe -- replay /tmp/mm.sflog -d f-order --shards 4 > /tmp/mm.f4.out; \
+	    diff /tmp/mm.f.out /tmp/mm.f4.out && echo "mm: f-order inline and 4-shard stdout identical"; \
+	    tail -n +2 /tmp/mm.out > /tmp/mm.sf.tail; tail -n +2 /tmp/mm.f.out > /tmp/mm.f.tail; \
+	    diff /tmp/mm.sf.tail /tmp/mm.f.tail && echo "mm: f-order and sf-order replay reports identical"; \
+	    rm -f /tmp/mm.f.out /tmp/mm.f4.out /tmp/mm.sf.tail /tmp/mm.f.tail; \
 	  fi; \
 	  rm -f /tmp/$$w.sflog /tmp/$$w.out /tmp/$$w.s1.out /tmp/$$w.s4.out; \
 	done
@@ -78,7 +78,7 @@ detector-smoke:
 	dune build bin/racedetect.exe
 	@set -e; \
 	names=$$(dune exec bin/racedetect.exe -- detectors --names); \
-	for d in multibags f-order sf-order sf-order-2pf vc-order; do \
+	for d in multibags f-order sf-order sf-order-2pf; do \
 	  echo "$$names" | grep -qx $$d || { echo "detector-smoke: $$d missing from registry" >&2; exit 2; }; \
 	done; \
 	n=0; \

@@ -204,67 +204,36 @@ let soak ~seeds ~workers =
   let module Chaos = Sfr_chaos.Chaos in
   let module Runner = Sfr_chaos_driver.Chaos_runner in
   Printf.printf "Chaos soak: %d seeds per cell, %d workers\n" seeds workers;
+  let failed = ref false in
+  let lane name label cfg make =
+    let r = Runner.run cfg ~make in
+    Printf.printf
+      "  %-14s %s: %3d matched, %3d faults surfaced, %d mismatches\n%!" name
+      label r.Runner.matched r.Runner.faults_surfaced
+      (List.length r.Runner.mismatches);
+    List.iter
+      (fun m -> Format.printf "    MISMATCH %a@." Runner.pp_mismatch m)
+      r.Runner.mismatches;
+    if r.Runner.mismatches <> [] then failed := true
+  in
+  let base = { Runner.default_config with Runner.seeds; workers; shrink = true } in
   (* the detector matrix is the registry: a newly registered backend is
      soaked (and differentially checked) without touching this file *)
-  let detectors =
-    List.map
-      (fun (e : Sfr_detect.Registry.entry) ->
-        (e.Sfr_detect.Registry.name, e.Sfr_detect.Registry.make))
-      (Sfr_detect.Registry.all ())
-  in
-  let failed = ref false in
   List.iter
-    (fun (name, make) ->
+    (fun (e : Sfr_detect.Registry.entry) ->
       List.iter
         (fun fault_rate ->
-          let chaos =
-            if fault_rate > 0.0 then
-              { Chaos.default_config with Chaos.fault_rate }
-            else Chaos.default_config
-          in
-          let cfg =
-            {
-              Runner.default_config with
-              Runner.seeds;
-              workers;
-              chaos = Some chaos;
-              shrink = true;
-            }
-          in
-          let r = Runner.run cfg ~make in
-          Printf.printf
-            "  %-14s fault %.2f: %3d matched, %3d faults surfaced, %d mismatches\n%!"
-            name fault_rate r.Runner.matched r.Runner.faults_surfaced
-            (List.length r.Runner.mismatches);
-          List.iter
-            (fun m -> Format.printf "    MISMATCH %a@." Runner.pp_mismatch m)
-            r.Runner.mismatches;
-          if r.Runner.mismatches <> [] then failed := true)
+          let chaos = { Chaos.default_config with Chaos.fault_rate } in
+          lane e.Sfr_detect.Registry.name
+            (Printf.sprintf "fault %.2f" fault_rate)
+            { base with Runner.chaos = Some chaos }
+            e.Sfr_detect.Registry.make)
         [ 0.0; 0.02 ])
-    detectors;
-  (* scale lane: the vc-order oracle is O(n·width) instead of the naive
-     O(n²), so the same differential runs at 10x the DAG size *)
-  let cfg =
-    {
-      Runner.default_config with
-      Runner.seeds;
-      workers;
-      ops = Runner.default_config.Runner.ops * 10;
-      shrink = true;
-      oracle =
-        Runner.Oracle_detector (fun () -> Sfr_detect.Vc_order.make ());
-    }
-  in
-  let r = Runner.run cfg ~make:(fun () -> Sfr_detect.Sf_order.make ()) in
-  Printf.printf
-    "  %-14s vc-oracle @10x ops: %3d matched, %3d faults surfaced, %d \
-     mismatches\n%!"
-    "sf-order" r.Runner.matched r.Runner.faults_surfaced
-    (List.length r.Runner.mismatches);
-  List.iter
-    (fun m -> Format.printf "    MISMATCH %a@." Runner.pp_mismatch m)
-    r.Runner.mismatches;
-  if r.Runner.mismatches <> [] then failed := true;
+    (Sfr_detect.Registry.all ());
+  (* scale lane: sf-order at 10x the default op budget, same naive oracle *)
+  lane "sf-order" "@10x ops"
+    { base with Runner.ops = Runner.default_config.Runner.ops * 10 }
+    (fun () -> Sfr_detect.Sf_order.make ());
   if !failed then begin
     prerr_endline "chaos soak FAILED";
     exit 1

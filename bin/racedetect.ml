@@ -756,17 +756,6 @@ let chaos_cmd =
     Arg.(value & opt positive 6 & info [ "locs" ] ~doc:"Shared locations.")
   in
   let detector = detector_term () in
-  let oracle =
-    Arg.(
-      value
-      & opt string "naive"
-      & info [ "oracle" ] ~docv:"NAME"
-          ~doc:
-            "Ground truth: $(b,naive) (exhaustive offline analysis, tiny \
-             scales only) or any oracle-grade registry detector (e.g. \
-             $(b,vc-order)) run serially without chaos — cheap enough for \
-             10-100x larger --ops.")
-  in
   let workers =
     workers_term ~default:4 ~doc:"Parallel workers (1 forces serial)." ()
   in
@@ -802,25 +791,11 @@ let chaos_cmd =
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print chaos metric counters.")
   in
-  let run seeds base_seed ops depth locs detector oracle workers no_chaos
-      fault_rate shrink out stats =
+  let run seeds base_seed ops depth locs detector workers no_chaos fault_rate
+      shrink out stats =
     let module Chaos = Sfr_chaos.Chaos in
     let module Runner = Sfr_chaos_driver.Chaos_runner in
     let entry = resolve_detector detector in
-    let oracle_spec =
-      if oracle = "naive" then Runner.Naive
-      else begin
-        let e = resolve_detector oracle in
-        if not e.Detectors.caps.Detectors.oracle_grade then begin
-          Printf.eprintf
-            "detector %s is not oracle-grade and cannot serve as chaos \
-             ground truth\n%s"
-            e.Detectors.name (Detectors.listing ());
-          exit 2
-        end;
-        Runner.Oracle_detector e.Detectors.make
-      end
-    in
     let chaos =
       if no_chaos then None
       else
@@ -840,13 +815,12 @@ let chaos_cmd =
         chaos;
         shrink;
         out_dir = out;
-        oracle = oracle_spec;
       }
     in
     Printf.printf
-      "chaos: %d seeds, %d workers, oracle %s, injection %s, fault rate \
-       %.3f, shrink %b\n%!"
-      seeds workers oracle
+      "chaos: %d seeds, %d workers, injection %s, fault rate %.3f, shrink \
+       %b\n%!"
+      seeds workers
       (if no_chaos then "off" else "on")
       fault_rate shrink;
     let report, dt =
@@ -873,15 +847,15 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ seeds $ base_seed $ ops $ depth $ locs $ detector $ oracle
-      $ workers $ no_chaos $ fault_rate $ shrink $ out $ stats)
+      const run $ seeds $ base_seed $ ops $ depth $ locs $ detector $ workers
+      $ no_chaos $ fault_rate $ shrink $ out $ stats)
 
 (* -- detectors ---------------------------------------------------------- *)
 
 let detectors_cmd =
   let doc =
     "List the registered race-detector backends with their capability \
-     flags (parallel/serial, oracle-grade, scale ceiling)."
+     flags (parallel or serial)."
   in
   let names_only =
     Arg.(

@@ -11,8 +11,6 @@ module Recorder = Sfr_eventlog.Recorder
 let m_mismatches = Metrics.counter "chaos.mismatches"
 let m_seeds = Metrics.counter "chaos.seeds"
 
-type oracle_spec = Naive | Oracle_detector of (unit -> Detector.t)
-
 type config = {
   seeds : int;
   base_seed : int;
@@ -23,7 +21,6 @@ type config = {
   chaos : Chaos.config option;
   shrink : bool;
   out_dir : string option;
-  oracle : oracle_spec;
 }
 
 let default_config =
@@ -37,7 +34,6 @@ let default_config =
     chaos = Some Chaos.default_config;
     shrink = false;
     out_dir = None;
-    oracle = Naive;
   }
 
 type verdict = { racy : int list; checksum : int }
@@ -62,8 +58,8 @@ type report = {
   mismatches : mismatch list;
 }
 
-(* Ground truth: depth-first serial execution recorded into a dag, then
-   the O(n^2)-ish naive analysis. Chaos must be disarmed here — the
+(* The one ground truth: depth-first serial execution recorded into a
+   dag, then the O(n^2)-ish naive analysis. Chaos must be disarmed here — the
    oracle defines expected behavior, it is not under test. *)
 let oracle t =
   let inst = Synthetic.instantiate t in
@@ -78,30 +74,6 @@ let oracle t =
            v.Naive_detector.racy_locations);
     checksum = inst.Synthetic.checksum ();
   }
-
-(* Alternative ground truth: a serial, chaos-free run of an oracle-grade
-   on-the-fly detector (registry [caps.oracle_grade], e.g. vc-order).
-   O(n·width) instead of the naive O(n²) pair sweep, which is what lets
-   the differential and the shrinker run at 10–100× the naive sizes. *)
-let detector_oracle ~make t =
-  let det = make () in
-  let inst = Synthetic.instantiate t in
-  ignore
-    (Serial_exec.run det.Detector.callbacks ~root:det.Detector.root
-       inst.Synthetic.program);
-  {
-    racy =
-      List.sort compare
-        (List.map
-           (fun l -> l - inst.Synthetic.mem_base)
-           (Detector.racy_locations det));
-    checksum = inst.Synthetic.checksum ();
-  }
-
-let ground_truth cfg t =
-  match cfg.oracle with
-  | Naive -> oracle t
-  | Oracle_detector make -> detector_oracle ~make t
 
 (* One detector run: parallel when the detector supports it and the
    config asks for workers, serial otherwise; chaos armed around exactly
@@ -136,7 +108,7 @@ let verdicts_agree a b = a.racy = b.racy && a.checksum = b.checksum
 (* Does (program, detector) still fail? Used both for the initial check
    and as the shrink predicate. *)
 let check cfg ~make ~chaos_seed t =
-  let expected = ground_truth cfg t in
+  let expected = oracle t in
   match run_one cfg ~make ~chaos_seed t with
   | got -> if verdicts_agree expected got then `Match else `Diff (expected, got)
   | exception Chaos.Injected _ -> `Fault

@@ -1,8 +1,9 @@
 (** Differential replay driver: the executable spec of the chaos layer.
 
     For each seed, generate a random structured-futures program
-    ({!Sfr_workloads.Synthetic}), compute ground truth with the serial
-    naive oracle (chaos disarmed), then run the detector under test —
+    ({!Sfr_workloads.Synthetic}), compute ground truth with {!oracle}
+    (the serial naive analysis, chaos disarmed; there is no other
+    ground truth to select), then run the detector under test —
     parallel when it supports it — with seeded fault injection armed
     around the execution. The run fails the seed when racy-location
     verdicts (normalized to the instance's memory base) or checksums
@@ -17,16 +18,6 @@
 
 module Chaos = Sfr_chaos.Chaos
 
-type oracle_spec =
-  | Naive
-      (** serial trace + {!Sfr_detect.Naive_detector.analyze}: the O(n²)
-          exhaustive ground truth, practical only at tiny DAG sizes *)
-  | Oracle_detector of (unit -> Sfr_detect.Detector.t)
-      (** a serial, chaos-free run of an independent on-the-fly detector
-          (registry entries with [caps.oracle_grade], e.g. vc-order) —
-          cheap enough to push the differential and the shrinker to
-          10–100× the naive sizes *)
-
 type config = {
   seeds : int;  (** number of seeds to sweep *)
   base_seed : int;  (** first seed; seed [i] is [base_seed + i] *)
@@ -37,7 +28,6 @@ type config = {
   chaos : Chaos.config option;  (** [None] disables injection entirely *)
   shrink : bool;  (** delta-debug failures to minimal reproducers *)
   out_dir : string option;  (** where to record reproducer .sflog files *)
-  oracle : oracle_spec;  (** how ground truth is computed *)
 }
 
 val default_config : config
@@ -72,12 +62,10 @@ type report = {
 }
 
 val oracle : Sfr_workloads.Synthetic.t -> verdict
-(** The [Naive] serial ground truth for a program (chaos must be
-    disarmed by the caller; {!run_seed} arms only around the detector
-    run). *)
-
-val ground_truth : config -> Sfr_workloads.Synthetic.t -> verdict
-(** Ground truth per [config.oracle]; same disarming contract. *)
+(** The ground truth for a program: a serial trace analysed by
+    {!Sfr_detect.Naive_detector.analyze}, exact DAG reachability that
+    shares no code with any detector. Chaos must be disarmed by the
+    caller; {!run_seed} arms only around the detector run. *)
 
 val run_seed :
   config -> make:(unit -> Sfr_detect.Detector.t) -> seed:int -> outcome

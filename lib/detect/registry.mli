@@ -1,26 +1,23 @@
-(** Process-wide detector registry: the single seam through which the
-    CLI, the replay/serve paths, the bench harness, and the chaos driver
+(** The detector registry: the single seam through which the CLI, the
+    replay/serve paths, the bench harness, and the chaos driver
     enumerate race-detector backends.
 
     Every backend is a named constructor for a fresh {!Detector.t} plus
-    capability flags the callers gate on, so adding a detector here is
-    enough to give it run/record/replay, figures, soak, and the CI smoke
-    matrix ([make detector-smoke]) without touching any of them.
+    capability flags the callers gate on, so adding a detector to this
+    list is enough to give it run/record/replay, figures, soak, and the
+    CI smoke matrix ([make detector-smoke]) without touching any of them.
 
-    Built-ins register at module initialization, in presentation order:
-    [multibags], [f-order], [sf-order], [sf-order-2pf], [vc-order]. The
-    harness figure tables iterate [all ()] filtered on [caps.figure] —
-    exactly the historical MultiBags / F-Order / SF-Order columns.
-    [Naive_detector] is deliberately absent: it is an offline dag
-    analysis, not an {!Sfr_runtime.Events} client. *)
+    The list is fixed, in presentation order: [multibags], [f-order],
+    [sf-order], [sf-order-2pf]. The harness figure tables iterate
+    [all ()] filtered on [caps.figure] — exactly the historical
+    MultiBags / F-Order / SF-Order columns. [Naive_detector] is
+    deliberately absent: it is the offline ground truth (exact DAG
+    reachability), not an {!Sfr_runtime.Events} client. *)
 
 type caps = {
   supports_parallel : bool;
       (** can run under the parallel executor (mirrors
           {!Detector.t.supports_parallel}). *)
-  oracle_grade : bool;
-      (** an independent algorithm whose serial run is usable as
-          differential ground truth (chaos [--oracle]). *)
   figure : bool;  (** appears in the paper-reproduction figure tables. *)
 }
 
@@ -34,16 +31,9 @@ type entry = {
 
 val find : string -> entry option
 val all : unit -> entry list
-(** In registration order. *)
+(** In presentation order. *)
 
 val names : unit -> string list
-
-val register : entry -> unit
-(** Append an entry (extensions, tests).
-    @raise Invalid_argument on a duplicate name. *)
-
-val caps_string : caps -> string
-(** Compact flag rendering, e.g. ["parallel,oracle"]. *)
 
 val listing : unit -> string
 (** Human-readable table of every entry: name, flags, doc. *)

@@ -66,11 +66,10 @@ let fig3 ~scale =
 type detcol = { label : string; make : unit -> Detector.t; parallel : bool }
 
 (* The figure tables' detector columns come straight from the registry
-   ([caps.figure] entries, registration order), so the historical
-   MultiBags / F-Order / SF-Order output is byte-identical and a future
-   paper-grade backend only has to register itself. Computed per call:
-   tests may register entries after this module initializes. *)
-let detcols () =
+   ([caps.figure] entries, list order), so the historical MultiBags /
+   F-Order / SF-Order output is byte-identical and a future paper-grade
+   backend only has to join the registry's list. *)
+let detcols =
   List.filter_map
     (fun (e : Detectors.entry) ->
       if e.Detectors.caps.Detectors.figure then
@@ -84,7 +83,6 @@ let detcols () =
     (Detectors.all ())
 
 let fig4 ~scale ~repeats ~workers =
-  let detcols = detcols () in
   Format.printf
     "Figure 4: execution times (seconds). T1 measured on one core; T%d \
      simulated by greedy scheduling of the recorded dag scaled by measured \

@@ -168,8 +168,17 @@ let test_shrinker_minimizes_deterministically () =
     (oracle_verdict.Runner.racy <> [])
 
 (* A detector whose callbacks record nothing never reports a race, so
-   the first racy seed mismatches; its reproducer must be a complete log
-   whose naive verdict is the oracle's. *)
+   any racy program is a guaranteed differential failure. *)
+let deaf () =
+  {
+    (Sf_order.make ()) with
+    Detector.name = "deaf";
+    callbacks = Events.null;
+    root = Events.Unit_state;
+  }
+
+(* The deaf detector's first racy seed mismatches; its reproducer must
+   be a complete log whose naive verdict is the oracle's. *)
 let test_repro_dump_replays () =
   let dir = Filename.temp_dir "sfr_chaos" "" in
   Fun.protect
@@ -183,14 +192,6 @@ let test_repro_dump_replays () =
           Runner.workers = 1;
           chaos = None;
           out_dir = Some dir;
-        }
-      in
-      let deaf () =
-        {
-          (Sf_order.make ()) with
-          Detector.name = "deaf";
-          callbacks = Events.null;
-          root = Events.Unit_state;
         }
       in
       let rec first_failure seed =
@@ -217,6 +218,63 @@ let test_repro_dump_replays () =
       check Alcotest.int "naive verdict of the repro matches the oracle"
         (List.length m.Runner.expected.Runner.racy)
         (List.length naive.Naive_detector.racy_locations))
+
+(* -- the differential at 10x the default op budget ------------------------ *)
+
+let big_config =
+  {
+    Runner.default_config with
+    Runner.seeds = 8;
+    ops = Runner.default_config.Runner.ops * 10;
+    depth = 5;
+    workers = 4;
+  }
+
+(* sf-order under chaos at 10x the default op budget: zero mismatches
+   against the naive oracle *)
+let test_driver_10x_ops () =
+  let report = Runner.run big_config ~make:(fun () -> Sf_order.make ()) in
+  check Alcotest.int "all seeds ran" big_config.Runner.seeds
+    report.Runner.seeds_run;
+  check Alcotest.int "no mismatches at 10x ops"
+    (report.Runner.matched + report.Runner.faults_surfaced)
+    report.Runner.seeds_run
+
+(* the mismatch path and the shrinker at 600 ops: the deaf detector must
+   fail a racy seed, and the reduced program must still be racy *)
+let test_shrinker_600_ops () =
+  let cfg =
+    {
+      big_config with
+      Runner.seeds = 1;
+      workers = 1;
+      chaos = None;
+      shrink = true;
+      ops = 600;
+    }
+  in
+  let generate seed =
+    Synthetic.generate ~seed ~ops:cfg.Runner.ops ~depth:cfg.Runner.depth
+      ~locs:cfg.Runner.locs ()
+  in
+  let rec racy_seed s =
+    if s > 50 then Alcotest.fail "no racy seed in 1..50"
+    else if (Runner.oracle (generate s)).Runner.racy <> [] then s
+    else racy_seed (s + 1)
+  in
+  let seed = racy_seed 1 in
+  match Runner.run_seed cfg ~make:deaf ~seed with
+  | Runner.Match | Runner.Fault_surfaced ->
+      Alcotest.fail "deaf detector matched a racy oracle verdict"
+  | Runner.Failed m -> (
+      check Alcotest.bool "shrink ran" true (m.Runner.shrink_steps > 0);
+      match m.Runner.reduced with
+      | None -> Alcotest.fail "no reduced reproducer"
+      | Some r ->
+          check Alcotest.bool "reproducer no larger than original" true
+            (Synthetic.size r <= Synthetic.size (generate seed));
+          check Alcotest.bool "reproducer still racy under oracle" true
+            ((Runner.oracle r).Runner.racy <> []))
 
 (* -- of_tree sanitization ---------------------------------------------- *)
 
@@ -261,5 +319,10 @@ let () =
             test_shrinker_minimizes_deterministically;
           Alcotest.test_case "of_tree sanitizes" `Quick
             test_of_tree_drops_orphan_gets;
+        ] );
+      ( "chaos-oracle",
+        [
+          Alcotest.test_case "driver at 10x ops" `Quick test_driver_10x_ops;
+          Alcotest.test_case "shrinker" `Quick test_shrinker_600_ops;
         ] );
     ]

@@ -21,9 +21,13 @@ module Sf_order = Sfr_detect.Sf_order
 module F_order = Sfr_detect.F_order
 module Multibags = Sfr_detect.Multibags
 module Naive_detector = Sfr_detect.Naive_detector
+module Registry = Sfr_detect.Registry
+module Workload = Sfr_workloads.Workload
+module Wregistry = Sfr_workloads.Registry
 
 let check = Alcotest.check
 let int = Alcotest.int
+let bool = Alcotest.bool
 
 (* run [prog] serially under [det]; return racy locations minus [base] *)
 let detect_serial det prog ~base =
@@ -552,6 +556,96 @@ let test_query_count_shared_stripe () =
   check int "every concurrent query counted" (before + (2 * n))
     (det.Detector.queries ())
 
+(* ------------------------------------------------------------------ *)
+(* Registry                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let builtin_names = [ "multibags"; "f-order"; "sf-order"; "sf-order-2pf" ]
+
+let test_registry_builtins () =
+  check (Alcotest.list Alcotest.string) "names in presentation order"
+    builtin_names (Registry.names ());
+  List.iter
+    (fun n ->
+      match Registry.find n with
+      | Some e -> check Alcotest.string "entry name" n e.Registry.name
+      | None -> Alcotest.failf "find %s returned None" n)
+    builtin_names;
+  check bool "unknown name misses" true (Registry.find "no-such" = None)
+
+let test_registry_caps () =
+  let caps n =
+    match Registry.find n with
+    | Some e -> e.Registry.caps
+    | None -> Alcotest.failf "missing entry %s" n
+  in
+  check bool "multibags is serial" false
+    (caps "multibags").Registry.supports_parallel;
+  check bool "sf-order is a figure column" true (caps "sf-order").Registry.figure;
+  check bool "sf-order runs parallel" true
+    (caps "sf-order").Registry.supports_parallel;
+  check bool "sf-order-2pf is not a figure column" false
+    (caps "sf-order-2pf").Registry.figure
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_registry_listing () =
+  let l = Registry.listing () in
+  List.iter
+    (fun n ->
+      check bool (Printf.sprintf "listing mentions %s" n) true (contains l n))
+    builtin_names;
+  check bool "listing shows caps" true (contains l "parallel");
+  check bool "unknown message embeds listing" true
+    (contains (Registry.unknown "zzz") "sf-order-2pf")
+
+let test_registry_unique_names () =
+  let names = Registry.names () in
+  check int "no duplicate names"
+    (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* every registered detector must run every registry workload at tiny
+   scale — the in-process version of `make detector-smoke`. A detector
+   added to the registry but broken on a basic workload fails here, not
+   silently in a skipped CI lane. *)
+let test_registry_matrix_smoke () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun (w : Workload.t) ->
+          let det = e.Registry.make () in
+          let inst = w.Workload.instantiate Workload.Tiny in
+          let name = Printf.sprintf "%s/%s" e.Registry.name w.Workload.name in
+          check (Alcotest.list int) (name ^ " is race-free") []
+            (detect_serial det inst.Workload.program
+               ~base:inst.Workload.mem_base);
+          check bool (name ^ " performed queries") true
+            (det.Detector.queries () > 0))
+        Wregistry.all)
+    (Registry.all ())
+
+(* sf-order against the naive oracle at 2000 ops, under both history
+   implementations *)
+let test_sf_naive_large_scale () =
+  List.iter
+    (fun (history, hname) ->
+      for seed = 1 to 6 do
+        let t = Synthetic.generate ~seed ~ops:2000 ~depth:6 ~locs:10 () in
+        let run f =
+          let inst = Synthetic.instantiate t in
+          f inst.Synthetic.program ~base:inst.Synthetic.mem_base
+        in
+        check (Alcotest.list int)
+          (Printf.sprintf "seed %d %s: sf-order = naive" seed hname)
+          (run oracle)
+          (run (detect_serial (Sf_order.make ~history ())))
+      done)
+    [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+
 let () =
   Alcotest.run "detect"
     [
@@ -591,5 +685,18 @@ let () =
           Alcotest.test_case "pairs with detector" `Quick
             test_discipline_pairs_with_detector;
           QCheck_alcotest.to_alcotest prop_discipline_accepts_structured;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "builtins" `Quick test_registry_builtins;
+          Alcotest.test_case "caps" `Quick test_registry_caps;
+          Alcotest.test_case "listing" `Quick test_registry_listing;
+          Alcotest.test_case "unique names" `Quick test_registry_unique_names;
+          Alcotest.test_case "matrix smoke" `Quick test_registry_matrix_smoke;
+        ] );
+      ( "sf-vs-naive",
+        [
+          Alcotest.test_case "large-scale serial" `Quick
+            test_sf_naive_large_scale;
         ] );
     ]

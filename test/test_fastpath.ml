@@ -204,17 +204,27 @@ let wide_program ?above ~shared ~own n () =
   ignore (P.rd own (n - 1));
   ignore (P.rd own 0)
 
-(* the serial sf-order outcome must equal the vector-clock oracle's
-   (identical reports and query totals by construction); [program]
-   allocates fresh cells per run and returns their base location *)
-let run_against_vc name program =
-  let run det =
-    let base, prog = program () in
-    run_full ~base det prog
-  in
+(* the serial sf-order racy set must equal the naive oracle's verdict on
+   a traced run of the same program; [program] allocates fresh cells per
+   run and returns their base location *)
+let run_against_naive name program =
   let sf = Sf_order.make () in
-  let o_sf = run sf in
-  check outcome (name ^ ": sf-order = vc-order") (run (Sfr_detect.Vc_order.make ())) o_sf;
+  let o_sf =
+    let base, prog = program () in
+    run_full ~base sf prog
+  in
+  let naive =
+    let base, prog = program () in
+    let trace, cb, root = Sfr_runtime.Trace.make ~log_accesses:true () in
+    let (), _ = Serial_exec.run cb ~root prog in
+    let v =
+      Sfr_detect.Naive_detector.analyze (Sfr_runtime.Trace.dag trace)
+        (Sfr_runtime.Trace.accesses trace)
+    in
+    List.map (fun l -> l - base) v.Sfr_detect.Naive_detector.racy_locations
+  in
+  check (Alcotest.list int) (name ^ ": sf-order = naive") naive
+    (List.sort_uniq compare (List.map (fun (l, _, _, _, _) -> l) o_sf.o_reports));
   check bool (name ^ ": racy") true (o_sf.o_reports <> []);
   sf
 
@@ -230,7 +240,7 @@ let wide_cells n =
    spanned IDs up to its parent's and this run charged 95,115 words. *)
 let test_cp_wide_shallow () =
   let det =
-    run_against_vc "wide" (fun () ->
+    run_against_naive "wide" (fun () ->
         let base, shared, own = wide_cells 1500 in
         (base, wide_program ~shared ~own 1500))
   in
@@ -247,7 +257,7 @@ let test_cp_wide_shallow () =
 let test_cp_deep_then_wide () =
   let module P = Sfr_runtime.Program in
   let det =
-    run_against_vc "deep-then-wide" (fun () ->
+    run_against_naive "deep-then-wide" (fun () ->
         let base, shared, own = wide_cells 1500 in
         let levels = P.alloc 20 0 in
         let rec nest d () =
