@@ -13,13 +13,11 @@
      ablation-history  mutex vs lock-free vs unsynchronized access history
      prof-overhead     A/B microbenchmark of the disabled Prof hot path
      micro             Bechamel micro-benchmarks of the substrate
-     soak              differential chaos soak over the detector registry
-     all               everything above except soak (default)
+     all               everything above (default)
 
    Options: --scale tiny|small|default|large|paper   (default: default)
             --repeats N                              (default: 2)
             --workers P                              (default: 20)
-            --seeds N          soak seeds per cell   (default: 50)
             --no-metrics       disable Sfr_obs counters for timing runs
 
    End-to-end performance of the user paths (live, record/replay, serve)
@@ -194,52 +192,6 @@ let prof_overhead () =
   ignore !gate_sink
 
 (* ---------------------------------------------------------------- *)
-(* chaos soak                                                         *)
-(* ---------------------------------------------------------------- *)
-
-(* Differential soak across the detector matrix: every detector, with and
-   without synthetic faults, against the serial oracle. Exits nonzero on
-   any mismatch, so it can gate CI the way the figures gate the paper. *)
-let soak ~seeds ~workers =
-  let module Chaos = Sfr_chaos.Chaos in
-  let module Runner = Sfr_chaos_driver.Chaos_runner in
-  Printf.printf "Chaos soak: %d seeds per cell, %d workers\n" seeds workers;
-  let failed = ref false in
-  let lane name label cfg make =
-    let r = Runner.run cfg ~make in
-    Printf.printf
-      "  %-14s %s: %3d matched, %3d faults surfaced, %d mismatches\n%!" name
-      label r.Runner.matched r.Runner.faults_surfaced
-      (List.length r.Runner.mismatches);
-    List.iter
-      (fun m -> Format.printf "    MISMATCH %a@." Runner.pp_mismatch m)
-      r.Runner.mismatches;
-    if r.Runner.mismatches <> [] then failed := true
-  in
-  let base = { Runner.default_config with Runner.seeds; workers; shrink = true } in
-  (* the detector matrix is the registry: a newly registered backend is
-     soaked (and differentially checked) without touching this file *)
-  List.iter
-    (fun (e : Sfr_detect.Registry.entry) ->
-      List.iter
-        (fun fault_rate ->
-          let chaos = { Chaos.default_config with Chaos.fault_rate } in
-          lane e.Sfr_detect.Registry.name
-            (Printf.sprintf "fault %.2f" fault_rate)
-            { base with Runner.chaos = Some chaos }
-            e.Sfr_detect.Registry.make)
-        [ 0.0; 0.02 ])
-    (Sfr_detect.Registry.all ());
-  (* scale lane: sf-order at 10x the default op budget, same naive oracle *)
-  lane "sf-order" "@10x ops"
-    { base with Runner.ops = Runner.default_config.Runner.ops * 10 }
-    (fun () -> Sfr_detect.Sf_order.make ());
-  if !failed then begin
-    prerr_endline "chaos soak FAILED";
-    exit 1
-  end
-
-(* ---------------------------------------------------------------- *)
 (* argument handling                                                  *)
 (* ---------------------------------------------------------------- *)
 
@@ -247,16 +199,15 @@ let usage () =
   prerr_endline
     "usage: main.exe [fig3|fig4|fig5|motivation|complexity|sweep|\n\
     \                 ablation-locks|ablation-sets|ablation-readers|\n\
-    \                 ablation-history|prof-overhead|micro|soak|all]\n\
+    \                 ablation-history|prof-overhead|micro|all]\n\
     \                [--scale tiny|small|default|large|paper] [--repeats N]\n\
-    \                [--workers P] [--seeds N] [--no-metrics]";
+    \                [--workers P] [--no-metrics]";
   exit 2
 
 let () =
   let scale = ref Workload.Default in
   let repeats = ref 2 in
   let workers = ref 20 in
-  let seeds = ref 50 in
   let command = ref "all" in
   let command_seen = ref false in
   let rec parse = function
@@ -276,11 +227,6 @@ let () =
         | Some n when n > 0 -> workers := n
         | Some _ | None -> usage ());
         parse rest
-    | "--seeds" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n > 0 -> seeds := n
-        | Some _ | None -> usage ());
-        parse rest
     | "--no-metrics" :: rest ->
         Sfr_obs.Metrics.disable ();
         parse rest
@@ -292,7 +238,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let scale = !scale and repeats = !repeats and workers = !workers in
-  let seeds = !seeds in
   let rec run = function
     | "fig3" -> Figures.fig3 ~scale
     | "motivation" -> Figures.motivation ~scale
@@ -306,7 +251,6 @@ let () =
     | "ablation-history" -> Figures.ablation_history ~scale ~repeats
     | "prof-overhead" -> prof_overhead ()
     | "micro" -> micro ()
-    | "soak" -> soak ~seeds ~workers:(min workers 8)
     | "all" ->
         List.iter
           (fun c ->

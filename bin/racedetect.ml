@@ -15,8 +15,7 @@
      racedetect analyze mm.sflog    (dag, work/span, naive race verdict)
      racedetect metrics-dump [--workload mm] [--check] [-o FILE]
      racedetect telemetry-lint t.jsonl [--min-samples N]
-     racedetect serve --socket /tmp/rd.sock [--budget BYTES]
-                      [--overload shed|park|block] [--pool N]
+     racedetect serve --socket /tmp/rd.sock [--budget BYTES] [--pool N]
                       [--deadline-ms N] [--idle-ms N] [--max-sessions N]
      racedetect stress-client --socket /tmp/rd.sock --workload mm
                       --sessions 4 [--torn 1] [--over-budget 1] [--idle 1]
@@ -919,18 +918,10 @@ let serve_cmd =
       value
       & opt int (4 * 1024 * 1024)
       & info [ "budget" ] ~docv:"BYTES"
-          ~doc:"Global byte budget across all session queues.")
-  in
-  let overload =
-    Arg.(
-      value
-      & opt (enum [ ("shed", Serve.Shed); ("park", Serve.Park); ("block", Serve.Block) ])
-          Serve.Shed
-      & info [ "overload" ]
           ~doc:
-            "Policy when the budget is exceeded: shed (finish the offending \
-             session with ERR_OVERLOAD), park (freeze credit until \
-             pressure halves), or block (refuse new sessions).")
+            "Global byte budget across all session queues. A session whose \
+             data lifts the total above it is finished with ERR_OVERLOAD \
+             (retryable).")
   in
   let credit_window =
     Arg.(
@@ -979,8 +970,8 @@ let serve_cmd =
       & info [ "audit-out" ] ~docv:"FILE"
           ~doc:
             "Stream a structured audit log (one JSONL record per \
-             session-lifecycle edge: hello, credit, park/thaw, shed, \
-             timeout, disconnect, verdict) to $(docv). See \
+             session-lifecycle edge: hello, credit, shed, timeout, \
+             disconnect, verdict) to $(docv). See \
              $(b,audit-lint) for validation.")
   in
   let sinks =
@@ -993,7 +984,7 @@ let serve_cmd =
         "Sample continuous telemetry during serving and stream it as JSONL \
          to $(docv). See $(b,telemetry-lint) for validation."
   in
-  let run socket tcp budget overload credit_window deadline_ms idle_ms pool
+  let run socket tcp budget credit_window deadline_ms idle_ms pool
       max_sessions stats audit_out sinks =
     let addr =
       match addr_of ~socket ~tcp with
@@ -1007,7 +998,7 @@ let serve_cmd =
         Serve.session =
           { Serve_session.credit_window; deadline_ms; idle_ms };
         global_budget = budget;
-        overload;
+        overload = Serve.Shed;
         pool_domains = pool;
         defer_ingest = false;
       }
@@ -1046,13 +1037,11 @@ let serve_cmd =
               Printf.eprintf "cannot open audit log: %s\n" msg;
               exit 2));
         let server = Serve.create cfg in
-        Printf.printf "serving on %s (budget %dB, %s, pool %d)\n%!"
+        Printf.printf "serving on %s (budget %dB, pool %d)\n%!"
           (match addr with
           | Unix.ADDR_UNIX p -> p
           | Unix.ADDR_INET (_, port) -> Printf.sprintf "tcp:%d" port)
-          budget
-          (Serve.overload_to_string overload)
-          pool;
+          budget pool;
         let clients : (Unix.file_descr, Serve.conn) Hashtbl.t = Hashtbl.create 16 in
         let buf = Bytes.create 65536 in
         let running = ref true in
@@ -1161,7 +1150,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket $ tcp $ budget $ overload $ credit_window
+      const run $ socket $ tcp $ budget $ credit_window
       $ deadline_ms $ idle_ms $ pool $ max_sessions $ stats
       $ audit_out $ sinks)
 
@@ -1343,23 +1332,28 @@ let stress_client_cmd =
   in
   let sessions =
     Arg.(
-      value & opt int 4
-      & info [ "sessions" ] ~docv:"N" ~doc:"Concurrent sessions.")
+      value
+      & opt (positive_upto Par_exec.max_workers) 4
+      & info [ "sessions" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf
+               "Concurrent sessions, one domain each. At most %d."
+               Par_exec.max_workers))
   in
   let torn =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "torn" ] ~docv:"K" ~doc:"Sessions that tear mid-frame.")
   in
   let over_budget =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "over-budget" ] ~docv:"K"
           ~doc:"Sessions that ignore credit (expect ERR_PROTOCOL/ERR_OVERLOAD).")
   in
   let idle =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "idle" ] ~docv:"K"
           ~doc:"Sessions that go silent (expect ERR_IDLE; give the daemon \
                 --idle-ms).")
@@ -1372,7 +1366,7 @@ let stress_client_cmd =
   in
   let frame =
     Arg.(
-      value & opt int 4096
+      value & opt positive 4096
       & info [ "frame" ] ~docv:"BYTES" ~doc:"DATA frame payload size.")
   in
   let run socket tcp workload scale inject sessions torn over_budget idle
@@ -1455,8 +1449,6 @@ let stress_client_cmd =
           | None, M_over_budget, Some (Serve_frame.Verdict { code; _ }) ->
               code = Serve_frame.Err_protocol
               || code = Serve_frame.Err_overload
-          | None, M_over_budget, Some (Serve_frame.Reject { code; _ }) ->
-              code = Serve_frame.Err_overload
           | None, M_idle, Some (Serve_frame.Verdict { code; _ }) ->
               code = Serve_frame.Err_idle
           | _ -> false

@@ -77,17 +77,6 @@ let pp_text ppf =
             (if e.arg <> 0 then Printf.sprintf " (%d)" e.arg else ""))
         es
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_chrome_json () =
   let es = entries () in
   let t0 = match es with [] -> 0 | e :: _ -> e.ts_ns in
@@ -97,7 +86,7 @@ let to_chrome_json () =
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":\"";
-      escape b e.name;
+      Json_min.escape b e.name;
       Buffer.add_string b "\",\"cat\":\"flight\",\"ph\":\"";
       Buffer.add_string b
         (match e.kind with Begin -> "B" | End -> "E" | Instant -> "i");

@@ -164,3 +164,14 @@ let parse s =
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+let escape b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s

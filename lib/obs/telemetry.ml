@@ -76,20 +76,9 @@ let gc_gauges () =
 
 (* -- JSONL wire format (schema: doc in DESIGN.md section 13) ------------ *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_str b s =
   Buffer.add_char b '"';
-  escape b s;
+  Json_min.escape b s;
   Buffer.add_char b '"'
 
 let add_int_obj b kvs =

@@ -80,25 +80,11 @@ let events () =
 
 (* -- JSON rendering ----------------------------------------------------- *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let render_event b e =
   Buffer.add_string b "{\"name\":\"";
-  escape b e.name;
+  Json_min.escape b e.name;
   Buffer.add_string b "\",\"cat\":\"";
-  escape b e.cat;
+  Json_min.escape b e.cat;
   Buffer.add_string b "\",\"ph\":\"";
   Buffer.add_string b
     (match e.ph with Complete -> "X" | Instant -> "i" | Counter -> "C");
@@ -115,7 +101,7 @@ let render_event b e =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        escape b k;
+        Json_min.escape b k;
         Buffer.add_string b (Printf.sprintf "\":%.3f" v))
       e.args;
     Buffer.add_char b '}'

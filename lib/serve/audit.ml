@@ -17,10 +17,7 @@ type record =
   | Session_open of { session : int }
   | Hello of { session : int; version : int }
   | Credit of { session : int; grant : int }
-  | Park of { queued : int; budget : int }
-  | Thaw of { queued : int; budget : int }
   | Shed of { session : int; evicted : int }
-  | Block of { session : int }
   | Deadline of { session : int; age_ms : int }
   | Idle of { session : int; quiet_ms : int }
   | Disconnect of { session : int; bytes_analyzed : int }
@@ -36,35 +33,28 @@ let event_name = function
   | Session_open _ -> "session_open"
   | Hello _ -> "hello"
   | Credit _ -> "credit"
-  | Park _ -> "park"
-  | Thaw _ -> "thaw"
   | Shed _ -> "shed"
-  | Block _ -> "block"
   | Deadline _ -> "deadline"
   | Idle _ -> "idle"
   | Disconnect _ -> "disconnect"
   | Verdict _ -> "verdict"
 
 let session_of = function
-  | Park _ | Thaw _ -> None
   | Session_open { session }
   | Hello { session; _ }
   | Credit { session; _ }
   | Shed { session; _ }
-  | Block { session }
   | Deadline { session; _ }
   | Idle { session; _ }
   | Disconnect { session; _ }
   | Verdict { session; _ } ->
-      Some session
+      session
 
 (* Event-specific integer fields beyond [session]. *)
 let int_fields = function
-  | Session_open _ | Block _ -> []
+  | Session_open _ -> []
   | Hello { version; _ } -> [ ("version", version) ]
   | Credit { grant; _ } -> [ ("grant", grant) ]
-  | Park { queued; budget } | Thaw { queued; budget } ->
-      [ ("queued", queued); ("budget", budget) ]
   | Shed { evicted; _ } -> [ ("evicted", evicted) ]
   | Deadline { age_ms; _ } -> [ ("age_ms", age_ms) ]
   | Idle { quiet_ms; _ } -> [ ("quiet_ms", quiet_ms) ]
@@ -73,28 +63,14 @@ let int_fields = function
   | Verdict { races; events; bytes_analyzed; _ } ->
       [ ("races", races); ("events", events); ("bytes_analyzed", bytes_analyzed) ]
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_json ~seq ~t_ms r =
   let b = Buffer.create 128 in
-  Printf.bprintf b "{\"seq\":%d,\"t_ms\":%.3f,\"event\":\"%s\"" seq t_ms
-    (event_name r);
-  (match session_of r with
-  | Some s -> Printf.bprintf b ",\"session\":%d" s
-  | None -> ());
+  Printf.bprintf b "{\"seq\":%d,\"t_ms\":%.3f,\"event\":\"%s\",\"session\":%d"
+    seq t_ms (event_name r) (session_of r);
   (match r with
   | Verdict { code; _ } ->
       Buffer.add_string b ",\"code\":\"";
-      escape b code;
+      Json_min.escape b code;
       Buffer.add_char b '"'
   | _ -> ());
   List.iter (fun (k, v) -> Printf.bprintf b ",\"%s\":%d" k v) (int_fields r);
@@ -102,10 +78,7 @@ let to_json ~seq ~t_ms r =
   Buffer.contents b
 
 let pp_record fmt r =
-  Format.fprintf fmt "%s" (event_name r);
-  (match session_of r with
-  | Some s -> Format.fprintf fmt " session=%d" s
-  | None -> ());
+  Format.fprintf fmt "%s session=%d" (event_name r) (session_of r);
   (match r with
   | Verdict { code; _ } -> Format.fprintf fmt " code=%s" code
   | _ -> ());
@@ -237,10 +210,7 @@ let known_events =
     "session_open";
     "hello";
     "credit";
-    "park";
-    "thaw";
     "shed";
-    "block";
     "deadline";
     "idle";
     "disconnect";
@@ -250,10 +220,9 @@ let known_events =
 (* Fields every record of the given event must carry (beyond the
    universal seq/t_ms/event). *)
 let required_fields = function
-  | "session_open" | "block" -> [ "session" ]
+  | "session_open" -> [ "session" ]
   | "hello" -> [ "session"; "version" ]
   | "credit" -> [ "session"; "grant" ]
-  | "park" | "thaw" -> [ "queued"; "budget" ]
   | "shed" -> [ "session"; "evicted" ]
   | "deadline" -> [ "session"; "age_ms" ]
   | "idle" -> [ "session"; "quiet_ms" ]

@@ -23,17 +23,15 @@ val schema_version : int
 
 val default_tail_capacity : int
 
-(** One session-lifecycle edge. [t_ms]/[seq] stamping happens at
-    {!emit}; records carry only the edge's own payload. *)
+(** One session-lifecycle edge; every record names its session.
+    [t_ms]/[seq] stamping happens at {!emit}; records carry only the
+    edge's own payload. *)
 type record =
   | Session_open of { session : int }  (** transport connected *)
   | Hello of { session : int; version : int }  (** stream opened *)
   | Credit of { session : int; grant : int }  (** credit granted *)
-  | Park of { queued : int; budget : int }  (** server froze credit *)
-  | Thaw of { queued : int; budget : int }  (** server resumed grants *)
   | Shed of { session : int; evicted : int }
       (** shed under the byte budget, with the queued bytes evicted *)
-  | Block of { session : int }  (** HELLO refused while over budget *)
   | Deadline of { session : int; age_ms : int }
   | Idle of { session : int; quiet_ms : int }
   | Disconnect of { session : int; bytes_analyzed : int }
@@ -47,7 +45,7 @@ type record =
     }
 
 val event_name : record -> string
-val session_of : record -> int option
+val session_of : record -> int
 val to_json : seq:int -> t_ms:float -> record -> string
 (** One JSONL line (no trailing newline), parseable by
     {!Sfr_obs.Json_min}. *)

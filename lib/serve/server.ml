@@ -7,25 +7,12 @@ let m_finished = Metrics.counter "serve.sessions.finished"
 let m_racy = Metrics.counter "serve.sessions.racy"
 let m_shed_sessions = Metrics.counter "serve.shed.sessions"
 let m_shed_bytes = Metrics.counter "serve.shed.bytes"
-let m_block_rejects = Metrics.counter "serve.block.rejects"
-let m_park_transitions = Metrics.counter "serve.park.transitions"
 let m_deadline = Metrics.counter "serve.timeouts.deadline"
 let m_idle = Metrics.counter "serve.timeouts.idle"
 let m_disconnects = Metrics.counter "serve.disconnects"
 let m_queued_hw = Metrics.counter ~kind:`Max "serve.queued.bytes"
 
-type overload = Shed | Park | Block
-
-let overload_to_string = function
-  | Shed -> "shed"
-  | Park -> "park"
-  | Block -> "block"
-
-let overload_of_string = function
-  | "shed" -> Some Shed
-  | "park" -> Some Park
-  | "block" -> Some Block
-  | _ -> None
+type overload = Shed
 
 type config = {
   session : Session.config;
@@ -144,11 +131,10 @@ type conn = {
 type t = {
   cfg : config;
   now_ms : unit -> int;
-  smu : Mutex.t;  (** table, ids, budget, park state, outcomes *)
+  smu : Mutex.t;  (** table, ids, budget, outcomes *)
   mutable conns : conn list;
   mutable next_sid : int;
   mutable global_queued : int;
-  mutable is_parked : bool;
   mutable outcomes_rev : Session.outcome list;
   pool : pool option;
   mutable stopped : bool;
@@ -164,10 +150,8 @@ let dump_sessions t =
      mortem dump beats deadlocking inside the dumper. *)
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "serve: queued=%dB budget=%dB policy=%s parked=%b\n"
-       t.global_queued t.cfg.global_budget
-       (overload_to_string t.cfg.overload)
-       t.is_parked);
+    (Printf.sprintf "serve: queued=%dB budget=%dB\n" t.global_queued
+       t.cfg.global_budget);
   List.iter
     (fun c ->
       match c.session with
@@ -226,6 +210,10 @@ let validate (cfg : config) =
       (Printf.sprintf "pool_domains must be in 0..%d"
          Sfr_runtime.Par_exec.max_workers)
   else if s.Session.credit_window < 1 then Error "credit_window must be >= 1"
+  else if Option.fold ~none:false ~some:(fun d -> d < 1) s.Session.deadline_ms
+  then Error "deadline_ms must be >= 1"
+  else if Option.fold ~none:false ~some:(fun d -> d < 1) s.Session.idle_ms then
+    Error "idle_ms must be >= 1"
   else Ok ()
 
 let create ?now_ms cfg =
@@ -240,7 +228,6 @@ let create ?now_ms cfg =
       conns = [];
       next_sid = 0;
       global_queued = 0;
-      is_parked = false;
       outcomes_rev = [];
       pool =
         (if cfg.pool_domains = 0 then None
@@ -260,9 +247,9 @@ let send_frames conn frames =
   end
 
 (* Settle an effect against the global budget; returns the follow-up
-   action the caller must apply OUTSIDE the server lock (overload
-   handling touches per-connection locks). *)
-type post = Nothing | Do_shed of conn | Set_credit of conn list * bool
+   action the caller must apply OUTSIDE the server lock (shedding
+   touches the connection's lock). *)
+type post = Nothing | Do_shed of conn
 
 let record_outcome t (s : Session.t) =
   match Session.outcome s with
@@ -297,42 +284,15 @@ let settle t conn (eff : Session.effect_) =
           | _ -> ());
           t.conns <- List.filter (fun c -> c != conn) t.conns
         end;
-        (* Park hysteresis: freeze credit above the budget, thaw below
-           half of it. *)
-        if t.cfg.overload = Park then begin
-          if (not t.is_parked) && t.global_queued > t.cfg.global_budget
-          then begin
-            t.is_parked <- true;
-            Metrics.incr m_park_transitions;
-            Audit.emit
-              (Audit.Park
-                 { queued = t.global_queued; budget = t.cfg.global_budget });
-            Set_credit (t.conns, false)
-          end
-          else if t.is_parked && t.global_queued <= t.cfg.global_budget / 2
-          then begin
-            t.is_parked <- false;
-            Metrics.incr m_park_transitions;
-            Audit.emit
-              (Audit.Thaw
-                 { queued = t.global_queued; budget = t.cfg.global_budget });
-            Set_credit (t.conns, true)
-          end
-          else Nothing
-        end
-        else if
-          t.cfg.overload = Shed
-          && eff.Session.accepted > 0
+        if
+          eff.Session.accepted > 0
           && t.global_queued > t.cfg.global_budget
           && not eff.Session.finished
         then Do_shed conn
         else Nothing)
 
-let over_budget t =
-  with_lock t.smu (fun () -> t.global_queued > t.cfg.global_budget)
-
-(* The universal follow-up driver: apply the overload action a settled
-   effect demanded. Each effect is settled under the [conn.cmu] that
+(* The universal follow-up driver: apply the shed a settled effect
+   demanded. Each effect is settled under the [conn.cmu] that
    produced it (cmu -> smu), so one connection's accepts and releases
    reach [global_queued] in the order they happened: settled after the
    lock, a drain's release could overtake the accept it drains and
@@ -342,21 +302,6 @@ let over_budget t =
 let rec apply_post t post =
   match post with
   | Nothing -> ()
-  | Set_credit (conns, v) ->
-      List.iter
-        (fun c ->
-          with_lock c.cmu (fun () ->
-              match c.session with
-              | Some s when not (Session.finished s) ->
-                  Session.set_grant_credit s v;
-                  if v then begin
-                    (* catch-up grant: drains during the park earned no
-                       credit, so clients may be stalled at zero *)
-                    let eff = Session.replenish_credit s in
-                    send_frames c eff.Session.send
-                  end
-              | _ -> ()))
-        conns
   | Do_shed conn ->
       let eff =
         with_lock conn.cmu (fun () ->
@@ -426,16 +371,15 @@ let pump t conn =
 
 let connect t ~send =
   let now = t.now_ms () in
-  let sid, parked_now =
+  let sid =
     with_lock t.smu (fun () ->
         let sid = t.next_sid in
         t.next_sid <- sid + 1;
-        (sid, t.is_parked))
+        sid)
   in
   Metrics.incr m_opened;
   Audit.emit (Audit.Session_open { session = sid });
   let s = Session.create ~id:sid ~now_ms:now t.cfg.session in
-  if parked_now then Session.set_grant_credit s false;
   let conn =
     { cmu = Mutex.create (); send; session = Some s; busy = false; gone = false }
   in
@@ -455,9 +399,8 @@ let stats_json t =
   let b = Buffer.create 512 in
   with_lock t.smu (fun () ->
       Printf.bprintf b
-        "{\"server\":{\"policy\":%S,\"parked\":%b,\"budget_bytes\":%d,\"queued_bytes\":%d,\"headroom_bytes\":%d,\"finished_sessions\":%d,\"audit_records\":%d},\"sessions\":["
-        (overload_to_string t.cfg.overload)
-        t.is_parked t.cfg.global_budget t.global_queued
+        "{\"server\":{\"budget_bytes\":%d,\"queued_bytes\":%d,\"headroom_bytes\":%d,\"finished_sessions\":%d,\"audit_records\":%d},\"sessions\":["
+        t.cfg.global_budget t.global_queued
         (max 0 (t.cfg.global_budget - t.global_queued))
         (List.length t.outcomes_rev)
         (Audit.record_count ());
@@ -482,18 +425,15 @@ let stats_json t =
 
 let health t =
   with_lock t.smu (fun () ->
-      let healthy =
-        (not t.is_parked) && t.global_queued <= t.cfg.global_budget
-      in
+      let healthy = t.global_queued <= t.cfg.global_budget in
       let detail =
-        Printf.sprintf "policy=%s queued=%dB budget=%dB sessions=%d parked=%b"
-          (overload_to_string t.cfg.overload)
-          t.global_queued t.cfg.global_budget (List.length t.conns) t.is_parked
+        Printf.sprintf "queued=%dB budget=%dB sessions=%d" t.global_queued
+          t.cfg.global_budget (List.length t.conns)
       in
       (healthy, detail))
 
 let prometheus t =
-  let active, queued, headroom, parked_now =
+  let active, queued, headroom =
     with_lock t.smu (fun () ->
         ( List.length
             (List.filter
@@ -503,8 +443,7 @@ let prometheus t =
                  | None -> false)
                t.conns),
           t.global_queued,
-          max 0 (t.cfg.global_budget - t.global_queued),
-          t.is_parked ))
+          max 0 (t.cfg.global_budget - t.global_queued) ))
   in
   Telemetry.render_prometheus
     ~gauges:
@@ -513,7 +452,6 @@ let prometheus t =
         ("serve.budget.bytes", t.cfg.global_budget);
         ("serve.queued.bytes.now", queued);
         ("serve.budget.headroom.bytes", headroom);
-        ("serve.parked", if parked_now then 1 else 0);
       ]
     ()
 
@@ -531,29 +469,9 @@ let on_bytes t conn bytes ~pos ~len =
     with_lock conn.cmu (fun () ->
         match conn.session with
         | Some s when not (Session.finished s) ->
-            (* Block policy: a HELLO arriving while over budget is
-               refused before it can open a stream. *)
-            if
-              t.cfg.overload = Block && Session.awaiting_hello s
-              && over_budget t
-            then begin
-              Metrics.incr m_block_rejects;
-              Audit.emit (Audit.Block { session = Session.id s });
-              let eff =
-                Session.finish_overload s
-                  ~message:
-                    (Printf.sprintf
-                       "server over byte budget (%dB); retry later"
-                       t.cfg.global_budget)
-              in
-              send_frames conn eff.Session.send;
-              Some (eff, settle t conn eff)
-            end
-            else begin
-              let eff = Session.on_bytes s ~now_ms:now bytes ~pos ~len in
-              send_frames conn eff.Session.send;
-              Some (eff, settle t conn eff)
-            end
+            let eff = Session.on_bytes s ~now_ms:now bytes ~pos ~len in
+            send_frames conn eff.Session.send;
+            Some (eff, settle t conn eff)
         | _ -> None)
   in
   match eff with
@@ -625,4 +543,3 @@ let active_sessions t =
            t.conns))
 
 let queued_bytes t = with_lock t.smu (fun () -> t.global_queued)
-let parked t = with_lock t.smu (fun () -> t.is_parked)

@@ -1,6 +1,13 @@
 (** The ingest supervisor: many concurrent {!Session}s, one global byte
-    budget, a configurable overload policy, and an optional domain pool
-    for the detection work.
+    budget enforced by shedding, and an optional domain pool for the
+    detection work.
+
+    {b Overload.} When an accepted [DATA] payload lifts the bytes
+    queued across all sessions above [global_budget], the session that
+    sent it is finished with [ERR_OVERLOAD] (retryable) and its queue
+    is released. Every other session keeps streaming. With one thread
+    calling {!on_bytes} (the CLI's select loop), queued memory never
+    exceeds [global_budget + credit_window].
 
     {b Transport-agnostic by construction.} The server never opens a
     socket: a transport calls {!connect} with a [send] callback, pushes
@@ -23,29 +30,19 @@
     fatal path is {!Fatal} (an internal invariant break), which fires
     the {!Sfr_obs.Flight} crash machinery with a per-session dump. *)
 
-type overload =
-  | Shed  (** finish the session whose intake broke the budget ([ERR_OVERLOAD], retryable) *)
-  | Park
-      (** freeze credit grants for everyone until usage falls below half
-          the budget; nobody dies, intake stalls *)
-  | Block
-      (** refuse sessions still in [HELLO] while over budget; streaming
-          sessions are untouched *)
-
-val overload_to_string : overload -> string
-val overload_of_string : string -> overload option
+type overload = Shed  (** the only overload response; see above *)
 
 type config = {
   session : Session.config;
   global_budget : int;  (** bytes queued across all sessions *)
-  overload : overload;
+  overload : overload;  (** always [Shed]; kept so record literals build *)
   pool_domains : int;  (** 0 = detection inline in the transport thread *)
   defer_ingest : bool;
       (** [false] (default): accepted payloads are analyzed as they
           arrive. [true]: they only queue; {!tick} drains them — a
           batch cadence for step-driven transports, and the lever that
           lets tests hold the global queue at a chosen level to
-          exercise the overload policies deterministically. *)
+          exercise shedding deterministically. *)
 }
 
 val default_config : config
@@ -60,8 +57,10 @@ type t
 
 val validate : config -> (unit, string) result
 (** [Error] names the first out-of-range field: [global_budget < 1],
-    [pool_domains] outside [0..]{!Sfr_runtime.Par_exec.max_workers}, or a
-    session [credit_window < 1]. *)
+    [pool_domains] outside [0..]{!Sfr_runtime.Par_exec.max_workers}, a
+    session [credit_window < 1], or a session [deadline_ms] or
+    [idle_ms] below 1 (a non-positive timeout would finish every open
+    session at the first {!tick}). *)
 
 val create : ?now_ms:(unit -> int) -> config -> t
 (** [now_ms] defaults to a monotonic wall clock.
@@ -90,7 +89,7 @@ val inline : t -> bool
     reply a frame earns (credit included) before {!on_bytes} returns. *)
 
 val quiesce : t -> unit
-(** Block until every scheduled ingest job has drained (pool mode);
+(** Wait until every scheduled ingest job has drained (pool mode);
     no-op inline. Callers must stop feeding bytes first. *)
 
 val shutdown : t -> unit
@@ -102,7 +101,6 @@ val outcomes : t -> Session.outcome list
 
 val active_sessions : t -> int
 val queued_bytes : t -> int
-val parked : t -> bool
 
 (** {1 Admin plane}
 
@@ -113,20 +111,18 @@ val parked : t -> bool
     a connection's data plane. *)
 
 val stats_json : t -> string
-(** One JSON document: a ["server"] object (overload policy, parked
-    bit, budget / queued / headroom bytes, finished-session and
-    audit-record counts) and a ["sessions"] array (id, phase, queued
+(** One JSON document: a ["server"] object (budget / queued /
+    headroom bytes, finished-session and audit-record counts) and a ["sessions"] array (id, phase, queued
     bytes, credit, age and idle milliseconds, busy / gone bits). *)
 
 val health : t -> bool * string
-(** [(healthy, detail)] — healthy iff not parked and the global queue
-    is within budget. [detail] is a one-line human summary either way. *)
+(** [(healthy, detail)] — healthy iff the global queue is within
+    budget. [detail] is a one-line human summary either way. *)
 
 val prometheus : t -> string
 (** {!Sfr_obs.Telemetry.render_prometheus} plus live server gauges
     ([serve.sessions.active], [serve.budget.bytes],
-    [serve.queued.bytes.now], [serve.budget.headroom.bytes],
-    [serve.parked]). *)
+    [serve.queued.bytes.now], [serve.budget.headroom.bytes]). *)
 
 val dump_sessions : t -> string
 (** The per-session summary the crash hook prints: one line per live

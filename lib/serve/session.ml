@@ -75,7 +75,6 @@ type t = {
           the frame->ack latency histogram), not yet ingested *)
   mutable queued : int;
   mutable credit : int;  (** bytes the client may still send *)
-  mutable grant_credit : bool;
   mutable phase : phase;
   mutable close_received : bool;
   mutable result : outcome option;
@@ -102,7 +101,6 @@ let create ~id ~now_ms cfg =
     queue = Queue.create ();
     queued = 0;
     credit = 0;
-    grant_credit = true;
     phase = Awaiting_hello;
     close_received = false;
     result = None;
@@ -156,36 +154,6 @@ let merge a b =
     finished = a.finished || b.finished;
     admin = a.admin @ b.admin;
   }
-
-let set_grant_credit t v = t.grant_credit <- v
-
-(* Book-keeping shared by every grant site: metrics, the audit record
-   and the correlation instant on the trace. *)
-let note_grant t grant =
-  Metrics.add m_credit_granted grant;
-  Metrics.incr m_frames_out;
-  Audit.emit (Audit.Credit { session = t.sid; grant });
-  Trace_event.instant
-    ~args:[ ("session", float_of_int t.sid); ("grant", float_of_int grant) ]
-    "serve.credit.grant"
-
-let replenish_credit t =
-  if t.phase <> Streaming || t.close_received || not t.grant_credit then
-    no_effect
-  else begin
-    let pt = Prof.start () in
-    let grant = t.cfg.credit_window - t.credit - t.queued in
-    let eff =
-      if grant > 0 then begin
-        t.credit <- t.credit + grant;
-        note_grant t grant;
-        { no_effect with send = [ Frame.Credit grant ] }
-      end
-      else no_effect
-    in
-    Prof.stop t_credit pt;
-    eff
-  end
 
 (* Latch an outcome: the one-and-only terminal transition. Any payloads
    still queued are dropped and surfaced as [released] so the server's
@@ -439,13 +407,22 @@ let ingest t =
         "serve.session.ingest" ~ts_us:t0
         ~dur_us:(Trace_event.now_us () -. t0);
     let credit_frames =
-      if !drained > 0 && t.grant_credit && not t.close_received then begin
+      if !drained > 0 && not t.close_received then begin
         let cpt = Prof.start () in
         let grant = min !drained (t.cfg.credit_window - t.credit) in
         let frames =
           if grant > 0 then begin
             t.credit <- t.credit + grant;
-            note_grant t grant;
+            Metrics.add m_credit_granted grant;
+            Metrics.incr m_frames_out;
+            Audit.emit (Audit.Credit { session = t.sid; grant });
+            Trace_event.instant
+              ~args:
+                [
+                  ("session", float_of_int t.sid);
+                  ("grant", float_of_int grant);
+                ]
+              "serve.credit.grant";
             [ Frame.Credit grant ]
           end
           else []

@@ -16,7 +16,8 @@
     (bounded by the window), and the caller forwards the resulting
     [CREDIT] frame. A client that overruns its window is finished with
     [ERR_PROTOCOL] — by construction a session never buffers more than
-    [credit_window] bytes. *)
+    [credit_window] bytes. Credit is never withheld: the server's one
+    overload response is to finish a session ({!finish_overload}). *)
 
 type config = {
   credit_window : int;  (** max un-ingested DATA bytes per session *)
@@ -91,23 +92,14 @@ val on_bytes : t -> now_ms:int -> Bytes.t -> pos:int -> len:int -> effect_
 
 val ingest : t -> effect_
 (** Drain the accepted-payload queue into the detector ([released] =
-    bytes drained). [send] carries the earned [CREDIT] (suppressed
-    while {!set_grant_credit} is off) and, once a received [CLOSE] has
-    been fully processed, the terminal [VERDICT]. *)
+    bytes drained). [send] carries the earned [CREDIT] and, once a
+    received [CLOSE] has been fully processed, the terminal
+    [VERDICT]. *)
 
 val needs_ingest : t -> bool
 (** Payloads queued, or a [CLOSE] awaiting finalization. *)
 
 val awaiting_hello : t -> bool
-
-val set_grant_credit : t -> bool -> unit
-(** Parking lever: while [false], {!ingest} still drains (freeing
-    memory) but earns the client no new credit, stalling its intake. *)
-
-val replenish_credit : t -> effect_
-(** Catch-up grant after a park ends: tops the client back up to
-    [credit_window - queued_bytes] (what {!ingest} would have granted
-    had credit not been frozen). *)
 
 val on_disconnect : t -> effect_
 (** Transport gone without [CLOSE]: drain what was queued, close the
@@ -118,9 +110,8 @@ val on_disconnect : t -> effect_
 
 val finish_overload : t -> message:string -> effect_
 (** Shed under the global byte budget: terminal [ERR_OVERLOAD]
-    (retryable) — a [REJECT] when the session never got past [HELLO]
-    (the Block policy's refusal), a partial-stats [VERDICT] once
-    streaming. *)
+    (retryable) — a [REJECT] when the session never got past [HELLO],
+    a partial-stats [VERDICT] once streaming. *)
 
 val check_timeout : t -> now_ms:int -> effect_ option
 (** Deadline / idle expiry check; [Some] iff the session just finished

@@ -225,20 +225,12 @@ let test_json_escape_decoding () =
       ("\"caf\xc3\xa9\"", "caf\xc3\xa9");
     ]
 
-(* Round trip through the emitters' shared escaping discipline: encode
-   the way Trace_event does, decode with Json_min. *)
+(* Round trip through the escaper every writer shares: encode with
+   [Json_min.escape], decode with [Json_min.parse]. *)
 let emit_escaped s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Json_min.escape b s;
   Buffer.add_char b '"';
   Buffer.contents b
 

@@ -10,13 +10,13 @@
    (4) sessions are isolated — a poisoned stream finishes with its own
    typed outcome while neighbours keep streaming; (5) the credit window
    bounds per-session queue memory and overruns are typed protocol
-   errors; (6) the three overload policies (shed / park / block) fire
-   deterministically against the global byte budget, with their
-   counters; (7) deadlines and idle timeouts fire off the injected
-   clock; (8) chaos wire faults produce typed outcomes, deterministic
-   per seed; (9) the acceptance soak: a 4-domain pool, nine concurrent
-   sessions (one torn, one credit-overrunning, one idle) all settle
-   with correct verdicts and the queue accounting returns to zero. *)
+   errors; (6) shedding fires deterministically against the global
+   byte budget, with its counters; (7) deadlines and idle timeouts
+   fire off the injected clock; (8) chaos wire faults produce typed
+   outcomes, deterministic per seed; (9) the acceptance soak: a
+   4-domain pool, nine concurrent sessions (one torn, one
+   credit-overrunning, one idle) all settle with correct verdicts and
+   the queue accounting returns to zero. *)
 
 module Log_format = Sfr_eventlog.Log_format
 module Recorder = Sfr_eventlog.Recorder
@@ -123,11 +123,11 @@ let workload_image ?(scale = Workload.Tiny) name ~inject_race =
       (image, i.Workload.mem_base, live, stats)
 
 let mk_cfg ?(session = Session.default_config) ?(budget = 4 * 1024 * 1024)
-    ?(overload = Server.Shed) ?(pool = 0) ?(defer = false) () =
+    ?(pool = 0) ?(defer = false) () =
   {
     Server.session;
     global_budget = budget;
-    overload;
+    overload = Server.Shed;
     pool_domains = pool;
     defer_ingest = defer;
   }
@@ -145,6 +145,21 @@ let test_create_validates_session () =
   let d = Session.default_config in
   check Alcotest.bool "credit_window = 0 rejected" true
     (rejects { d with credit_window = 0 });
+  (* a deadline or idle timeout below 1 ms would finish every open
+     session at the first tick *)
+  check Alcotest.bool "deadline_ms = 0 rejected" true
+    (rejects { d with deadline_ms = Some 0 });
+  check Alcotest.bool "deadline_ms < 0 rejected" true
+    (rejects { d with deadline_ms = Some (-5) });
+  check Alcotest.bool "idle_ms = 0 rejected" true
+    (rejects { d with idle_ms = Some 0 });
+  check Alcotest.bool "idle_ms < 0 rejected" true
+    (rejects { d with idle_ms = Some (-1) });
+  check Alcotest.bool "1 ms timeouts accepted" false
+    (rejects { d with deadline_ms = Some 1; idle_ms = Some 1 });
+  check Alcotest.bool "error names the field" true
+    (Server.validate (mk_cfg ~session:{ d with idle_ms = Some 0 } ())
+    = Error "idle_ms must be >= 1");
   check Alcotest.bool "defaults accepted" false (rejects d)
 
 (* The detection pool is capped like the executor's workers; checked
@@ -623,7 +638,7 @@ let test_backpressure_bounds () =
       check Alcotest.bool "violation counted" true
         (List.assoc "serve.credit.violations" (Metrics.snapshot ()) >= 1))
 
-(* -- overload policies -------------------------------------------------- *)
+(* -- overload (shedding) ------------------------------------------------- *)
 
 (* [defer_ingest] holds accepted bytes in the queue until [tick], so the
    global budget can be pushed over deterministically. *)
@@ -668,83 +683,6 @@ let test_overload_shed () =
       let o2 = outcome_exn server (sid_of c2) in
       check Alcotest.bool "post-shed session completes" true
         (o2.Session.code = Frame.Ok_clean || o2.Session.code = Frame.Ok_races))
-
-let test_overload_park () =
-  let image, base, offline, _ = workload_image "mm" ~inject_race:true in
-  Metrics.reset_all ();
-  with_server
-    (mk_cfg ~session:overload_session ~budget:1024 ~overload:Server.Park
-       ~defer:true ())
-    (fun server ->
-      let c = Loopback.connect server in
-      Loopback.hello ~chaos:false c;
-      let n = min (Bytes.length image) 4096 in
-      ignore (Loopback.pump ~chaos:false ~frame:n c image ~pos:0 ~len:n);
-      check Alcotest.bool "over budget parks" true (Server.parked server);
-      check Alcotest.bool "nobody shed under park" true
-        (Server.outcomes server = []);
-      let credit_before = Loopback.credit c in
-      Server.tick server;
-      check Alcotest.bool "drain thaws the park" false (Server.parked server);
-      check Alcotest.int "two park transitions" 2
-        (List.assoc "serve.park.transitions" (Metrics.snapshot ()));
-      check Alcotest.bool "catch-up credit after thaw" true
-        (Loopback.credit c > credit_before);
-      (* the parked client was never finished; it can stream to the end *)
-      let rest = Bytes.length image - n in
-      if rest > 0 then begin
-        let sent = ref 0 in
-        while !sent < rest do
-          let k = min 512 (rest - !sent) in
-          ignore
-            (Loopback.pump ~chaos:false ~frame:k c image ~pos:(n + !sent) ~len:k);
-          Server.tick server;
-          sent := !sent + k
-        done
-      end;
-      Loopback.close ~chaos:false c;
-      Server.tick server;
-      let o = outcome_exn server (sid_of c) in
-      check tcode "parked session completes" (expect_code offline) o.Session.code;
-      check slist "parked session verdict" offline (norm base o.Session.reports))
-
-let test_overload_block () =
-  let image, _, _, _ = synth_image ~seed:7 ~ops:300 in
-  Metrics.reset_all ();
-  with_server
-    (mk_cfg ~session:overload_session ~budget:1024 ~overload:Server.Block
-       ~defer:true ())
-    (fun server ->
-      let a = Loopback.connect server in
-      Loopback.hello ~chaos:false a;
-      let n = min (Bytes.length image) 4096 in
-      ignore (Loopback.pump ~chaos:false ~frame:n a image ~pos:0 ~len:n);
-      (* a newcomer's HELLO is refused while over budget *)
-      let b = Loopback.connect server in
-      Loopback.hello ~chaos:false b;
-      (match Loopback.last_terminal b with
-      | Some (Frame.Reject { code; _ }) ->
-          check tcode "blocked at HELLO" Frame.Err_overload code;
-          check Alcotest.bool "block is retryable" true (Frame.retryable code)
-      | _ -> Alcotest.fail "expected REJECT at HELLO");
-      check Alcotest.int "block counted" 1
-        (List.assoc "serve.block.rejects" (Metrics.snapshot ()));
-      (* the streaming session is untouched *)
-      check Alcotest.int "streamer survives the block" 1
-        (Server.active_sessions server);
-      Server.tick server;
-      (* back under budget: the next HELLO is welcomed *)
-      let c2 = Loopback.connect server in
-      Loopback.hello ~chaos:false c2;
-      check Alcotest.bool "welcomed after drain" true
-        (List.exists
-           (function Frame.Welcome _ -> true | _ -> false)
-           (Loopback.replies c2));
-      Loopback.disconnect c2;
-      Loopback.disconnect a;
-      Server.tick server;
-      check Alcotest.int "all three settled" 3
-        (List.length (Server.outcomes server)))
 
 (* -- deadlines and idle timeouts ---------------------------------------- *)
 
@@ -1000,8 +938,6 @@ let () =
       ( "overload",
         [
           Alcotest.test_case "shed" `Quick test_overload_shed;
-          Alcotest.test_case "park" `Quick test_overload_park;
-          Alcotest.test_case "block" `Quick test_overload_block;
         ] );
       ( "timeouts",
         [

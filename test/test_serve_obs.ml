@@ -81,11 +81,11 @@ let workload_image name =
       record (fun cb root -> serial (fun () -> i.Workload.program ()) cb root)
 
 let mk_cfg ?(session = Session.default_config) ?(budget = 4 * 1024 * 1024)
-    ?(overload = Server.Shed) ?(pool = 0) ?(defer = false) () =
+    ?(pool = 0) ?(defer = false) () =
   {
     Server.session;
     global_budget = budget;
-    overload;
+    overload = Server.Shed;
     pool_domains = pool;
     defer_ingest = defer;
   }
@@ -177,8 +177,8 @@ let test_admin_session () =
           rs
       in
       check Alcotest.bool "fresh server is healthy" true healthy;
-      check Alcotest.bool "detail names the policy" true
-        (contains detail "policy=");
+      check Alcotest.bool "detail names the budget" true
+        (contains detail "budget=");
       let stats =
         find_reply "STATS"
           (function Frame.Stats_reply s -> Some s | _ -> None)
@@ -295,10 +295,7 @@ let sample_records =
     Audit.Session_open { session = 0 };
     Audit.Hello { session = 0; version = 1 };
     Audit.Credit { session = 0; grant = 65536 };
-    Audit.Park { queued = 2048; budget = 1024 };
-    Audit.Thaw { queued = 256; budget = 1024 };
     Audit.Shed { session = 3; evicted = 4096 };
-    Audit.Block { session = 4 };
     Audit.Deadline { session = 5; age_ms = 1500 };
     Audit.Idle { session = 6; quiet_ms = 900 };
     Audit.Disconnect { session = 7; bytes_analyzed = 130 };
@@ -346,7 +343,7 @@ let test_audit_roundtrip () =
         (contains (Audit.tail_to_text ()) "verdict");
       Audit.close_sink ();
       check Alcotest.bool "disarmed" false (Audit.armed ());
-      Audit.emit (Audit.Block { session = 99 });
+      Audit.emit (Audit.Session_open { session = 99 });
       match Audit.lint_jsonl (read_file path) with
       | Ok n ->
           check Alcotest.int "lint counts every emitted record"
@@ -365,16 +362,22 @@ let test_audit_lint_rejections () =
       ( "unknown event",
         header ^ "\n{\"seq\":0,\"t_ms\":0.1,\"event\":\"reboot\"}\n",
         "unknown event" );
+      (* the retired park/thaw/block overload edges are no longer part
+         of the schema *)
+      ( "retired park event",
+        header
+        ^ "\n{\"seq\":0,\"t_ms\":0.1,\"event\":\"park\",\"queued\":2048,\"budget\":1024}\n",
+        "unknown event \"park\"" );
       ( "seq regression",
         header
         ^ "\n{\"seq\":0,\"t_ms\":0.1,\"event\":\"session_open\",\"session\":1}\n\
-           {\"seq\":0,\"t_ms\":0.2,\"event\":\"block\",\"session\":1}\n",
+           {\"seq\":0,\"t_ms\":0.2,\"event\":\"session_open\",\"session\":2}\n",
         "not increasing" );
       ( "missing required field",
         header ^ "\n{\"seq\":0,\"t_ms\":0.1,\"event\":\"shed\",\"session\":2}\n",
         "missing" );
       ( "missing t_ms",
-        header ^ "\n{\"seq\":0,\"event\":\"block\",\"session\":2}\n",
+        header ^ "\n{\"seq\":0,\"event\":\"session_open\",\"session\":2}\n",
         "t_ms" );
     ]
   in
@@ -588,7 +591,6 @@ let test_prometheus_under_load () =
           "sfr_serve_sessions_active";
           "sfr_serve_budget_bytes";
           "sfr_serve_queued_bytes_now";
-          "sfr_serve_parked";
           "sfr_serve_latency_frame_ack_ns_count";
           "sfr_serve_latency_hello_verdict_ms_count";
         ];
